@@ -6,17 +6,16 @@ per-replica measurements and trace digests, and writes the wall-time
 comparison to ``BENCH_sweep.json`` at the repository root so CI can
 track the perf trajectory across PRs.
 
-Timing methodology mirrors ``test_perf_luavm.py``: interleaved
-serial/parallel rounds, keeping each side's minimum, reporting the
-ratio of minimums — the minimum of several rounds converges on the
-true cost, and interleaving cancels machine-load drift.  One deliberate
-difference: the luavm benchmark times ``process_time`` (CPU), but a
-process pool does its work in *children*, which ``process_time`` never
-sees — so this benchmark must time wall clock (``perf_counter``).
+Timing methodology: interleaved serial/parallel rounds, keeping each
+side's minimum, reporting the ratio of minimums — the minimum of
+several rounds converges on the true cost, and interleaving cancels
+machine-load drift.  A process pool does its work in *children*, which
+``process_time`` never sees, so this benchmark times wall clock
+(``perf_counter``).
 
 A warm-up round runs first, so the timed rounds measure the steady
-state the warm pool exists for: spec already shipped, compile caches
-hot, pool reused round after round (``pool_reused`` is asserted).
+state the warm pool exists for: spec already shipped, imports done,
+pool reused round after round (``pool_reused`` is asserted).
 
 The >= 1.5x speedup floor is asserted with 2 workers wherever 2+ cores
 are actually available (CI runners have 4); on a single effective core

@@ -14,86 +14,19 @@ variables, functions and closures, ``if/elseif/else``, ``while``,
 numeric ``for``, ``break``/``return``, arithmetic/comparison/concat
 operators, and a registrable host API.
 
-Two execution backends share one semantic spec (see
-:mod:`repro.luavm.interpreter`):
-
-``"bytecode"`` (default)
-    lex → parse → compile → dispatch.  :mod:`repro.luavm.compiler`
-    lowers the AST to a compact stack bytecode (:mod:`repro.luavm.code`)
-    which :mod:`repro.luavm.bytevm` executes in a flat dispatch loop.
-    Compiled chunks are cached process-wide by source digest, so every
-    replica of a sweep shares one compilation per module script.
-
-``"tree"``
-    the original tree-walking interpreter, kept as the differential
-    reference (``tests/test_luavm_differential.py`` fuzzes one against
-    the other).
-
-Select a backend with ``create_vm(backend=...)``, the
-``REPRO_LUA_BACKEND`` environment variable, or the ``using_backend``
-context manager.
-
-Either way the VM enforces an instruction budget and a call-depth cap
-so a hostile or buggy script cannot hang or crash the simulation.
+Execution is lex → parse → tree-walk (:mod:`repro.luavm.interpreter`,
+which also states the subset's semantic rules).  The VM enforces an
+instruction budget and a call-depth cap so a hostile or buggy script
+cannot hang or crash the simulation.
 """
 
-import os
-from contextlib import contextmanager
-
-from repro.luavm.bytevm import BytecodeVM
-from repro.luavm.errors import (
-    LuaBytecodeError,
-    LuaError,
-    LuaRuntimeError,
-    LuaSyntaxError,
-)
+from repro.luavm.errors import LuaError, LuaRuntimeError, LuaSyntaxError
 from repro.luavm.interpreter import LuaTable, LuaVM
 
-#: Backend used when ``create_vm`` is called without an explicit choice.
-#: Seeded from ``REPRO_LUA_BACKEND`` at import; ``using_backend`` swaps
-#: it temporarily.
-DEFAULT_BACKEND = os.environ.get("REPRO_LUA_BACKEND", "bytecode")
-
-_BACKENDS = {"bytecode": BytecodeVM, "tree": LuaVM}
-
-
-def create_vm(instruction_budget=None, backend=None):
-    """Build a VM for ``backend`` ("bytecode", "tree", or None=default)."""
-    name = backend or DEFAULT_BACKEND
-    try:
-        vm_class = _BACKENDS[name]
-    except KeyError:
-        raise ValueError("unknown Lua backend %r (expected one of %s)"
-                         % (name, ", ".join(sorted(_BACKENDS))))
-    if instruction_budget is None:
-        return vm_class()
-    return vm_class(instruction_budget=instruction_budget)
-
-
-@contextmanager
-def using_backend(name):
-    """Temporarily change the default backend (tests, A/B comparisons)."""
-    global DEFAULT_BACKEND
-    if name not in _BACKENDS:
-        raise ValueError("unknown Lua backend %r (expected one of %s)"
-                         % (name, ", ".join(sorted(_BACKENDS))))
-    previous = DEFAULT_BACKEND
-    DEFAULT_BACKEND = name
-    try:
-        yield
-    finally:
-        DEFAULT_BACKEND = previous
-
-
 __all__ = [
-    "BytecodeVM",
-    "DEFAULT_BACKEND",
-    "LuaBytecodeError",
     "LuaError",
     "LuaRuntimeError",
     "LuaSyntaxError",
     "LuaTable",
     "LuaVM",
-    "create_vm",
-    "using_backend",
 ]

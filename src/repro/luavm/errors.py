@@ -15,11 +15,3 @@ class LuaSyntaxError(LuaError):
 
 class LuaRuntimeError(LuaError):
     """Execution failed (type error, missing name, budget exhausted...)."""
-
-
-class LuaBytecodeError(LuaError):
-    """A compiled chunk is malformed: bad magic, unsupported version,
-    truncated stream, out-of-range constant/proto/jump reference, or an
-    unknown opcode.  Raised by chunk deserialization and validation so a
-    corrupted module cache entry is a typed, catchable failure instead
-    of a crash inside the dispatch loop."""

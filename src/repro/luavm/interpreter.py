@@ -1,11 +1,8 @@
-"""Tree-walking evaluator for the Lua subset — the reference backend.
+"""Tree-walking evaluator for the Lua subset.
 
-This module is also the *semantic specification* both backends cite:
-the bytecode VM (:mod:`repro.luavm.bytevm`) must agree with the
-evaluator here on every observable behaviour, and the differential
-fuzz suite (``tests/test_luavm_differential.py``) enforces it.  The
-load-bearing subset rules, pinned after the fuzzing work surfaced two
-ambiguities:
+This module is also the *semantic specification* of the subset.  The
+load-bearing rules, pinned by regression tests in
+``tests/test_luavm_interpreter.py``:
 
 **Table length / border semantics.**  ``#t`` is the length of the
 contiguous integer-key prefix starting at 1: the first missing index is
@@ -29,14 +26,17 @@ booleans are only equal to booleans (``1 == true`` is ``false``, not
 Python's ``True``), numbers compare by value (``1 == 1.0``), and
 tables compare by identity.
 
-**Call depth.**  Both backends cap Lua-level call nesting at
-:data:`LuaVM.MAX_CALL_DEPTH` and raise :class:`LuaRuntimeError` on
-overflow, so hostile recursion exhausts neither the Python stack (tree
-walker) nor memory (bytecode frame list), and both abort the same way.
+**Call depth.**  Lua-level call nesting is capped at
+:data:`LuaVM.MAX_CALL_DEPTH`; overflow raises :class:`LuaRuntimeError`
+instead of exhausting the Python stack.
+
+**Error messages name Lua types.**  Every script-visible message that
+mentions a value's type (``attempt to index a nil value``, ``cannot
+compare number with string``) goes through :func:`_lua_type_name`, so
+scripts never see Python type names.
 
 The helpers :func:`lua_eq`, :func:`lua_compare`, and
-:func:`lua_concat` implement the coercion rules once; both backends
-call them, so the spec cannot fork.
+:func:`lua_concat` implement the coercion rules once.
 """
 
 from repro.luavm.errors import LuaRuntimeError
@@ -211,7 +211,7 @@ def lua_compare(op, left, right):
             return left > right
         return left >= right
     raise LuaRuntimeError("cannot compare %s with %s"
-                          % (type(left).__name__, type(right).__name__))
+                          % (_lua_type_name(left), _lua_type_name(right)))
 
 
 def lua_concat(left, right):
@@ -222,6 +222,28 @@ def lua_concat(left, right):
             raise LuaRuntimeError("attempt to concatenate a %s value"
                                   % _lua_type_name(value))
     return _lua_str(left) + _lua_str(right)
+
+
+def _guard_stdlib(name, function):
+    """Wrap a stdlib function so a bad argument raises LuaRuntimeError.
+
+    The stdlib is plain Python, so ``string.rep(nil, 2)`` would
+    otherwise leak a TypeError out of the VM.  Host callables added
+    with :meth:`LuaVM.register` are not wrapped: their exceptions are
+    the host's to handle.
+    """
+
+    def guarded(*args):
+        try:
+            return function(*args)
+        except (TypeError, ValueError, AttributeError, ArithmeticError):
+            raise LuaRuntimeError(
+                "bad argument to '%s' (called with %s)"
+                % (name, ", ".join(_lua_type_name(a) for a in args)
+                   or "no values")) from None
+
+    guarded.__name__ = "lua_stdlib_%s" % name
+    return guarded
 
 
 class LuaVM:
@@ -237,15 +259,10 @@ class LuaVM:
 
     DEFAULT_BUDGET = 2_000_000
 
-    #: Maximum Lua-level call nesting, enforced by both backends (see
-    #: module docstring): deeper recursion raises LuaRuntimeError
-    #: instead of exhausting the Python stack.
+    #: Maximum Lua-level call nesting (see module docstring): deeper
+    #: recursion raises LuaRuntimeError instead of exhausting the
+    #: Python stack.
     MAX_CALL_DEPTH = 200
-
-    #: Which implementation this is, mirroring TraceLog.query_linear's
-    #: role: "tree" is the differential reference the bytecode backend
-    #: is fuzzed against.
-    backend = "tree"
 
     def __init__(self, instruction_budget=DEFAULT_BUDGET):
         self._globals = _Env()
@@ -303,9 +320,19 @@ class LuaVM:
     # -- stdlib -------------------------------------------------------------------
 
     def _install_stdlib(self):
+        """Install the stdlib, each function behind :func:`_guard_stdlib`
+        (library tables' members too, named ``string.rep`` etc.)."""
         from repro.luavm.stdlib import build_stdlib
 
         for name, value in build_stdlib(self).items():
+            if isinstance(value, LuaTable):
+                for key in value.keys():
+                    member = value.get(key)
+                    if callable(member):
+                        value.set(key, _guard_stdlib("%s.%s" % (name, key),
+                                                     member))
+            elif callable(value):
+                value = _guard_stdlib(name, value)
             self._globals.declare(name, value)
 
     # -- execution ------------------------------------------------------------------
@@ -422,9 +449,8 @@ class LuaVM:
             key = self._eval(node[2], env)
             if isinstance(obj, LuaTable):
                 return obj.get(key)
-            if obj is None:
-                raise LuaRuntimeError("attempt to index a nil value")
-            raise LuaRuntimeError("attempt to index a %s value" % type(obj).__name__)
+            raise LuaRuntimeError("attempt to index a %s value"
+                                  % _lua_type_name(obj))
         if tag == "call":
             function = self._eval(node[1], env)
             args = [self._eval(a, env) for a in node[2]]
@@ -476,9 +502,8 @@ class LuaVM:
             # Stdlib and bridged host functions receive VM values as-is;
             # vm.register wraps host callables with the conversion layer.
             return _to_lua(function(*args))
-        if function is None:
-            raise LuaRuntimeError("attempt to call a nil value")
-        raise LuaRuntimeError("attempt to call a %s value" % type(function).__name__)
+        raise LuaRuntimeError("attempt to call a %s value"
+                              % _lua_type_name(function))
 
     def _binop(self, op, left_node, right_node, env):
         if op == "and":
@@ -531,7 +556,7 @@ class LuaVM:
             if isinstance(value, LuaTable):
                 return value.length()
             raise LuaRuntimeError("attempt to get length of a %s value"
-                                  % type(value).__name__)
+                                  % _lua_type_name(value))
         raise LuaRuntimeError("unknown unary operator %r" % op)
 
 

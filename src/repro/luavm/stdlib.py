@@ -5,7 +5,7 @@ import math
 
 def build_stdlib(vm):
     """Return the global bindings installed into a fresh VM."""
-    from repro.luavm.interpreter import LuaTable, _lua_str
+    from repro.luavm.interpreter import LuaTable, _lua_str, _lua_type_name
 
     def lua_print(*args):
         vm.output.append("\t".join(_lua_str(a) for a in args))
@@ -22,19 +22,6 @@ def build_stdlib(vm):
             except ValueError:
                 return None
         return None
-
-    def lua_type(value):
-        if value is None:
-            return "nil"
-        if isinstance(value, bool):
-            return "boolean"
-        if isinstance(value, (int, float)):
-            return "number"
-        if isinstance(value, str):
-            return "string"
-        if isinstance(value, LuaTable):
-            return "table"
-        return "function"
 
     # table library -----------------------------------------------------------
     def table_insert(table, value):
@@ -112,7 +99,7 @@ def build_stdlib(vm):
         "print": lua_print,
         "tostring": lua_tostring,
         "tonumber": lua_tonumber,
-        "type": lua_type,
+        "type": _lua_type_name,
         "table": table_lib,
         "string": string_lib,
         "math": math_lib,

@@ -227,7 +227,6 @@ def _worker_main(worker_id, spec, base_seed, tasks, results,
     ``start`` marker is what lets the supervisor attribute a crash to
     exactly one replica.
     """
-    import repro.sim.poolwarm  # noqa: F401  (import side-effect warms caches)
     from repro.core.ensemble import run_replica
     from repro.sim.workerpool import encode_replica_row
 
@@ -385,9 +384,9 @@ def supervise_sweep(spec, base_seed, pending, workers, chunk_size,
     target_workers = max(1, min(workers, initial_chunks))
 
     # Same warmed context as the plain warm pool: on the forkserver
-    # path repro.sim.poolwarm is preloaded into the server, so every
+    # path repro.core.ensemble is preloaded into the server, so every
     # worker — including each restart after a crash — is born with the
-    # Lua compile cache populated instead of paying cold-start again.
+    # campaign stack imported instead of paying cold-start again.
     context = pool_context()
     pool = {}
     widgen = count(1)

@@ -11,11 +11,11 @@ replacement:
   worker processes.  Each receives the pickle-safe ``CampaignSpec``
   exactly **once** at warm-up; every subsequent task is just a list of
   replica indices (a few dozen bytes), never the spec again.
-* **Warm caches.**  Workers pre-warm the Lua ``compile_cached`` store
-  before their first task via :mod:`repro.sim.poolwarm` — preloaded
-  into the fork server on the forkserver path, inherited through fork,
-  imported at startup under spawn — so no replica ever pays first-use
-  compile latency.
+* **Warm imports.**  Workers have :mod:`repro.core.ensemble` (and with
+  it every campaign module) imported before their first task —
+  preloaded into the fork server on the forkserver path, inherited
+  through fork, imported at startup under spawn — so no replica pays
+  import latency.
 * **Compact result rows.**  Workers ship each finished replica home as
   a struct-framed binary row (:func:`encode_replica_row`) instead of a
   pickled ``ReplicaResult``: a fixed header of scalars plus
@@ -44,7 +44,7 @@ from multiprocessing import connection as _connection
 from repro.sim.errors import SweepWorkerError
 
 #: Start-method preference.  forkserver gives clean workers that are
-#: still cheap to mint (and lets :mod:`repro.sim.poolwarm` be preloaded
+#: still cheap to mint (and lets :mod:`repro.core.ensemble` be preloaded
 #: into the server, so workers are born warm); fork is the fallback
 #: where forkserver is missing; spawn always works because the worker
 #: entrypoint and everything it pickles are module-level.
@@ -77,14 +77,14 @@ def pool_start_method():
 def pool_context(start_method=None):
     """A multiprocessing context configured for warm sweep workers.
 
-    On the forkserver path the warm-up module is preloaded into the
-    server process, so every worker it forks starts with the Lua
-    compile cache already populated.
+    On the forkserver path the campaign stack is preloaded into the
+    server process, so every worker it forks starts with its imports
+    already done.
     """
     method = start_method or pool_start_method()
     context = multiprocessing.get_context(method)
     if method == "forkserver":
-        context.set_forkserver_preload(["repro.sim.poolwarm"])
+        context.set_forkserver_preload(["repro.core.ensemble"])
     return context
 
 
@@ -173,7 +173,6 @@ def _pool_worker_main(tasks, results):
     when a replica raises (the worker stays alive and finishes its
     chunk), and a ``D`` marker when the chunk is drained.
     """
-    import repro.sim.poolwarm  # noqa: F401  (import side-effect warms caches)
     from repro.core.ensemble import run_replica
 
     try:
@@ -229,10 +228,6 @@ class WarmPool:
         self.base_seed = base_seed
         self.workers = workers
         self._context = pool_context(start_method)
-        # Warm the parent too: under fork the children then inherit the
-        # compile cache outright, and the serial probe/fallback paths
-        # in run_sweep benefit as well.
-        import repro.sim.poolwarm  # noqa: F401
         self._closed = False
         self._workers = [self._spawn(wid)
                          for wid in range(1, workers + 1)]

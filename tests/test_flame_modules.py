@@ -71,6 +71,16 @@ def test_hot_swap_rejects_broken_script(manager):
     assert manager.get("jimmy").exports("scan")
 
 
+def test_hot_swap_rejects_script_with_bad_stdlib_call(manager):
+    assert manager.hot_swap("flask", "x = string.rep(nil, 2)") is None
+    assert manager.versions()["flask"] == 1
+    report = manager.call("flask", "collect", {
+        "hostname": "V-1", "os": "7", "volumes": ["c:"],
+        "tcp_connections": [], "cookies": [], "software": [],
+    })
+    assert report["computer"] == "V-1"
+
+
 def test_hot_swap_can_add_new_module(manager):
     module = manager.hot_swap("microbe2", "function go() return 7 end")
     assert module.version == 1

@@ -187,22 +187,22 @@ def test_return_from_chunk():
     assert vm.run("return 1 + 2") == 3
 
 
-# --- border semantics and coercion regressions (both backends) ---------------
+# --- border semantics and coercion regressions --------------------------------
 #
 # These pin the subset semantics documented in the interpreter module
-# docstring; the bytecode VM must match, so each case runs on both.
+# docstring.
 
-from repro.luavm import LuaTable, create_vm  # noqa: E402
-
-
-@pytest.fixture(params=["tree", "bytecode"])
-def any_vm(request):
-    return create_vm(backend=request.param)
+from repro.luavm import LuaTable  # noqa: E402
 
 
-def test_length_stops_at_first_nil_hole(any_vm):
-    any_vm.run("t = {1, 2, 3}\nt[2] = nil\nn = #t")
-    assert any_vm.get_global("n") == 1
+@pytest.fixture
+def vm():
+    return LuaVM()
+
+
+def test_length_stops_at_first_nil_hole(vm):
+    vm.run("t = {1, 2, 3}\nt[2] = nil\nn = #t")
+    assert vm.get_global("n") == 1
 
 
 def test_length_of_table_built_with_nil_hole_from_host():
@@ -219,50 +219,166 @@ def test_constructor_normalises_float_keys_like_set():
     assert table.length() == 1
 
 
-def test_length_empty_and_dense(any_vm):
-    any_vm.run("a = #{}\nb = #{10, 20, 30}")
-    assert any_vm.get_global("a") == 0
-    assert any_vm.get_global("b") == 3
+def test_length_empty_and_dense(vm):
+    vm.run("a = #{}\nb = #{10, 20, 30}")
+    assert vm.get_global("a") == 0
+    assert vm.get_global("b") == 3
 
 
-def test_concat_rejects_non_scalar_values(any_vm):
+def test_concat_rejects_non_scalar_values(vm):
     with pytest.raises(LuaRuntimeError, match="concatenate a table value"):
-        any_vm.run("x = {} .. 'tail'")
+        vm.run("x = {} .. 'tail'")
     with pytest.raises(LuaRuntimeError, match="concatenate a boolean value"):
-        any_vm.run("x = true .. 'tail'")
+        vm.run("x = true .. 'tail'")
     with pytest.raises(LuaRuntimeError, match="concatenate a nil value"):
-        any_vm.run("x = nil .. 'tail'")
+        vm.run("x = nil .. 'tail'")
 
 
-def test_concat_coerces_numbers_but_comparison_never_coerces(any_vm):
-    any_vm.run("joined = 1 .. '2'")
-    assert any_vm.get_global("joined") == "12"
+def test_concat_coerces_numbers_but_comparison_never_coerces(vm):
+    vm.run("joined = 1 .. '2'")
+    assert vm.get_global("joined") == "12"
     with pytest.raises(LuaRuntimeError, match="cannot compare"):
-        any_vm.run("x = 1 < '2'")
+        vm.run("x = 1 < '2'")
     with pytest.raises(LuaRuntimeError, match="cannot compare"):
-        any_vm.run("x = 'a' <= 1")
+        vm.run("x = 'a' <= 1")
 
 
-def test_equality_never_crosses_types(any_vm):
-    any_vm.run("""
+def test_equality_never_crosses_types(vm):
+    vm.run("""
     a = 1 == '1'
     b = 1 == true
     c = 0 == false
     d = nil == false
     """)
-    assert any_vm.get_global("a") is False
-    assert any_vm.get_global("b") is False
-    assert any_vm.get_global("c") is False
-    assert any_vm.get_global("d") is False
+    assert vm.get_global("a") is False
+    assert vm.get_global("b") is False
+    assert vm.get_global("c") is False
+    assert vm.get_global("d") is False
 
 
-def test_booleans_do_not_order(any_vm):
+def test_booleans_do_not_order(vm):
     with pytest.raises(LuaRuntimeError, match="cannot compare"):
-        any_vm.run("x = true < 1")
+        vm.run("x = true < 1")
     with pytest.raises(LuaRuntimeError, match="cannot compare"):
-        any_vm.run("x = false < true")
+        vm.run("x = false < true")
 
 
-def test_call_depth_cap_raises_typed_error(any_vm):
+def test_call_depth_cap_raises_typed_error(vm):
     with pytest.raises(LuaRuntimeError, match="call stack overflow"):
-        any_vm.run("local function f() return f() end\nreturn f()")
+        vm.run("local function f() return f() end\nreturn f()")
+
+
+# --- script-visible messages name Lua types, never Python ones ---------------
+
+@pytest.mark.parametrize("source, message", [
+    ("x = #nil", "attempt to get length of a nil value"),
+    ("x = #true", "attempt to get length of a boolean value"),
+    ("x = (1)[2]", "attempt to index a number value"),
+    ("x = ghost.field", "attempt to index a nil value"),
+    ("local f = 3 f()", "attempt to call a number value"),
+    ("local f = 's' f()", "attempt to call a string value"),
+    ("x = 1 < '2'", "cannot compare number with string"),
+    ("x = {} < nil", "cannot compare table with nil"),
+])
+def test_error_messages_name_lua_types(vm, source, message):
+    with pytest.raises(LuaRuntimeError) as excinfo:
+        vm.run(source)
+    assert str(excinfo.value) == message
+
+
+# --- semantic edge cases and abort limits ------------------------------------
+
+EDGE_PROGRAMS = [
+    # Closure capture is per-iteration, not per-loop.
+    pytest.param("""
+    local fns = {}
+    for i = 1, 3 do
+      local v = i * 10
+      fns[i] = function() return v end
+    end
+    return fns[1]() + fns[2]() + fns[3]()
+    """, 60, id="closure-per-iteration"),
+    # break unwinds nested block scopes without corrupting outer locals.
+    pytest.param("""
+    local acc = 0
+    for i = 1, 5 do
+      local x = i
+      if x == 3 then break end
+      acc = acc + x
+    end
+    return acc
+    """, 3, id="break-unwinds-scopes"),
+    # Method call evaluates the receiver once, before the arguments.
+    pytest.param("""
+    local calls = ''
+    local t = {n = 2}
+    function t.mul(self, k) return self.n * k end
+    return t:mul(21)
+    """, 42, id="method-call-receiver"),
+    # Numeric for bounds are evaluated once, before the loop runs.
+    pytest.param("""
+    local n = 3
+    local hits = 0
+    for i = 1, n do
+      n = 0
+      hits = hits + 1
+    end
+    return hits
+    """, 3, id="for-bounds-evaluated-once"),
+    # and/or short-circuit skips side effects.
+    pytest.param("""
+    count = 0
+    function bump() count = count + 1 return true end
+    local x = false and bump()
+    local y = true or bump()
+    return count
+    """, 0, id="and-or-short-circuit"),
+    # Chunk-level locals live in the global scope.
+    pytest.param("local exposed = 41\nreturn exposed + 1", 42,
+                 id="chunk-locals-are-global-scope"),
+    # do-block scoping (parsed as if true).
+    pytest.param("""
+    local x = 1
+    do
+      local x = 2
+    end
+    return x
+    """, 1, id="do-block-scope"),
+]
+
+
+@pytest.mark.parametrize("source, expected", EDGE_PROGRAMS)
+def test_semantic_edge_cases(vm, source, expected):
+    assert vm.run(source) == expected
+
+
+BUDGET_MESSAGE = "instruction budget exhausted (20000 steps)"
+DEPTH_MESSAGE = "call stack overflow (depth 200)"
+
+HOSTILE_PROGRAMS = [
+    pytest.param("while true do end", BUDGET_MESSAGE,
+                 id="empty-while"),
+    pytest.param("local i = 0\nwhile true do i = i + 1 end", BUDGET_MESSAGE,
+                 id="counting-while"),
+    pytest.param("local function f() return f() end\nreturn f()",
+                 DEPTH_MESSAGE, id="tail-recursion"),
+    pytest.param("local function f(n) return f(n + 1) end\nreturn f(0)",
+                 DEPTH_MESSAGE, id="recursion-with-argument"),
+    pytest.param("for i = 1, 100000000 do end", BUDGET_MESSAGE,
+                 id="huge-for"),
+]
+
+
+@pytest.mark.parametrize("source, message", HOSTILE_PROGRAMS)
+def test_hostile_programs_abort_with_typed_error(source, message):
+    vm = LuaVM(instruction_budget=20000)
+    with pytest.raises(LuaRuntimeError) as excinfo:
+        vm.run(source)
+    assert str(excinfo.value) == message
+
+
+def test_cross_chunk_function_calls(vm):
+    """A function defined by one run() is callable from a later chunk."""
+    vm.run("function helper(n) return n + 100 end")
+    assert vm.run("return helper(1) + helper(2)") == 203
+    assert vm.call("helper", 5) == 105

@@ -1,6 +1,8 @@
 """Lua stdlib: print, table, string, math, type conversion."""
 
-from repro.luavm import LuaVM
+import pytest
+
+from repro.luavm import LuaRuntimeError, LuaVM
 
 
 def run(source):
@@ -99,3 +101,27 @@ def test_math_functions():
     assert vm.get_global("c") == 5
     assert vm.get_global("d") == 9
     assert vm.get_global("e") == 1
+
+
+@pytest.mark.parametrize("source, function", [
+    ("x = string.rep(nil, 2)", "string.rep"),
+    ("table.insert(nil, 1)", "table.insert"),
+    ("x = math.floor('a')", "math.floor"),
+    ("x = string.format('%d', 'q')", "string.format"),
+])
+def test_bad_stdlib_argument_raises_lua_error_naming_function(source,
+                                                              function):
+    with pytest.raises(LuaRuntimeError,
+                       match="bad argument to '%s'" % function):
+        LuaVM().run(source)
+
+
+def test_registered_host_errors_propagate_unchanged():
+    vm = LuaVM()
+
+    def host_fn():
+        raise KeyError("host failure")
+
+    vm.register("host_fn", host_fn)
+    with pytest.raises(KeyError, match="host failure"):
+        vm.run("host_fn()")
