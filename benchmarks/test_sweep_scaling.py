@@ -1,13 +1,16 @@
-"""Sweep engine scaling: warm-pool parallel vs serial, identical results.
+"""Sweep engine scaling: pooled parallel vs serial, identical results.
 
 Runs the same quick Stuxnet ensemble through the serial path and the
-warm worker pool, asserts the two paths produce bit-identical
-per-replica measurements and trace digests, and writes the wall-time
-comparison to ``BENCH_sweep.json`` at the repository root so CI can
-track the perf trajectory across PRs.
+warm worker pool — under the default fail-fast policy and under
+``SupervisorConfig()`` with no failures injected — asserts all three
+produce bit-identical per-replica measurements and trace digests, and
+writes the wall-time comparison to ``BENCH_sweep.json`` at the
+repository root so the perf trajectory is tracked across changes.
+The supervised/default ratio is the cost of the retry-and-quarantine
+policy when nothing fails; the goal is ~1.0.
 
-Timing methodology: interleaved serial/parallel rounds, keeping each
-side's minimum, reporting the ratio of minimums — the minimum of
+Timing methodology: interleaved serial/parallel/supervised rounds,
+keeping each side's minimum, reporting the ratio of minimums — the minimum of
 several rounds converges on the true cost, and interleaving cancels
 machine-load drift.  A process pool does its work in *children*, which
 ``process_time`` never sees, so this benchmark times wall clock
@@ -32,11 +35,11 @@ from pathlib import Path
 
 from repro.core.ensemble import CampaignSpec
 from repro.sim.sweep import SweepConfig, run_sweep
-from repro.sim.workerpool import pool_start_method
+from repro.sim.workerpool import SupervisorConfig, pool_start_method
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
 
-#: Acceptance criterion: warm-pool parallel dispatch with 2 workers
+#: Acceptance criterion: pooled parallel dispatch with 2 workers
 #: must beat serial by at least this factor on the quick workload.
 SPEEDUP_FLOOR = 1.5
 
@@ -55,18 +58,16 @@ def effective_cores():
         return os.cpu_count() or 1
 
 
-def _interleaved_minimums(serial_fn, parallel_fn, rounds):
-    """Alternate the two dispatch paths and keep each side's best
-    wall time (children do the parallel work, so CPU time would lie)."""
-    serial_times, parallel_times = [], []
+def _interleaved_minimums(rounds, *fns):
+    """Alternate the dispatch variants and keep each one's best wall
+    time (children do the parallel work, so CPU time would lie)."""
+    times = [[] for _ in fns]
     for _ in range(rounds):
-        start = time.perf_counter()
-        serial_fn()
-        serial_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        parallel_fn()
-        parallel_times.append(time.perf_counter() - start)
-    return min(serial_times), min(parallel_times)
+        for fn, samples in zip(fns, times):
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    return [min(samples) for samples in times]
 
 
 def test_sweep_scaling_serial_vs_warm_pool(quick):
@@ -82,34 +83,48 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
     parallel_config = SweepConfig(replicas=replicas, workers=WORKERS,
                                   mode="parallel", base_seed=BASE_SEED,
                                   chunk_size=1, fallback=False)
+    # Same pool key, so the same warm workers, under the supervised
+    # policy: retries and quarantine armed, nothing failing.
+    supervised_config = SweepConfig(replicas=replicas, workers=WORKERS,
+                                    mode="supervised", base_seed=BASE_SEED,
+                                    chunk_size=1)
+    supervision = SupervisorConfig()
 
     # Warm-up round: ships the spec, builds the shared pool, fills the
     # compile caches — and proves the engine's core guarantee before
     # any timing: the pool changes wall time, never results.
     serial = run_sweep(spec, serial_config)
     parallel = run_sweep(spec, parallel_config)
-    assert serial.measurements() == parallel.measurements()
-    assert serial.digests() == parallel.digests()
-    assert [r.seed for r in serial.replicas] == \
-        [r.seed for r in parallel.replicas]
-    assert parallel.dispatch["path"] == "warm-pool"
+    supervised = run_sweep(spec, supervised_config, supervision=supervision)
+    for pooled in (parallel, supervised):
+        assert serial.measurements() == pooled.measurements()
+        assert serial.digests() == pooled.digests()
+        assert [r.seed for r in serial.replicas] == \
+            [r.seed for r in pooled.replicas]
+        assert pooled.dispatch["path"] == "warm-pool"
+    assert supervised.complete()
 
     reused = []
 
-    def timed_parallel():
-        result = run_sweep(spec, parallel_config)
-        reused.append(result.dispatch["pool_reused"])
+    def timed(config, **kwargs):
+        def run():
+            result = run_sweep(spec, config, **kwargs)
+            reused.append(result.dispatch["pool_reused"])
+        return run
 
-    serial_s, parallel_s = _interleaved_minimums(
-        lambda: run_sweep(spec, serial_config),
-        timed_parallel,
+    serial_s, parallel_s, supervised_s = _interleaved_minimums(
         rounds,
+        lambda: run_sweep(spec, serial_config),
+        timed(parallel_config),
+        timed(supervised_config, supervision=supervision),
     )
     # The steady state being measured is the *warm* pool: every timed
     # round must have reused the pool the warm-up round built.
     assert all(reused)
 
     speedup = serial_s / parallel_s if parallel_s else float("inf")
+    supervision_overhead = supervised_s / parallel_s if parallel_s \
+        else float("inf")
     asserted = cores >= MIN_CORES_FOR_SPEEDUP
     payload = {
         "benchmark": "sweep-scaling",
@@ -126,6 +141,8 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
         "pool_reused_every_round": all(reused),
         "serial_wall_seconds": serial_s,
         "parallel_wall_seconds": parallel_s,
+        "supervised_wall_seconds": supervised_s,
+        "supervision_overhead_ratio": supervision_overhead,
         "speedup": speedup,
         "speedup_floor": SPEEDUP_FLOOR,
         "speedup_asserted": asserted,
@@ -141,13 +158,14 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
 
     print()
     print("sweep scaling (%d replicas, %d effective cores, %s): "
-          "serial %.2fs, warm-pool %.2fs with %d workers -> %.2fx"
+          "serial %.2fs, pool %.2fs with %d workers -> %.2fx; "
+          "supervised %.2fs (%.2fx the default policy)"
           % (replicas, cores, pool_start_method(), serial_s, parallel_s,
-             WORKERS, speedup))
+             WORKERS, speedup, supervised_s, supervision_overhead))
     print("wrote %s" % BENCH_PATH)
 
     if asserted:
         assert speedup >= SPEEDUP_FLOOR, (
-            "warm-pool sweep only %.2fx faster than serial on %d "
+            "pooled sweep only %.2fx faster than serial on %d "
             "effective cores (floor: %.1fx)"
             % (speedup, cores, SPEEDUP_FLOOR))

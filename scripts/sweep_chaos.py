@@ -29,7 +29,7 @@ import sys
 
 from repro import CampaignSpec, SweepConfig, run_sweep
 from repro.core.resume import SweepCheckpoint
-from repro.sim.supervisor import ChaosPlan, SupervisorConfig
+from repro.sim.workerpool import ChaosPlan, SupervisorConfig
 
 BASE_SEED = 20130708
 REPLICAS = 6

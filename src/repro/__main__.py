@@ -245,7 +245,7 @@ def _cmd_sweep(args):
         if args.serial:
             raise SystemExit("--serial cannot be combined with supervision "
                              "flags: supervision needs worker processes")
-        from repro.sim.supervisor import SupervisorConfig
+        from repro.sim.workerpool import SupervisorConfig
 
         kwargs = {}
         if args.replica_timeout is not None:
@@ -257,10 +257,14 @@ def _cmd_sweep(args):
         supervision = SupervisorConfig(**kwargs)
     mode = "supervised" if supervised else ("serial" if args.serial
                                             else "auto")
-    config = SweepConfig(replicas=args.replicas, workers=args.workers,
-                         chunk_size=args.chunk_size, base_seed=args.seed,
-                         mode=mode, pool_warm=args.pool_warm,
-                         fallback=args.fallback)
+    try:
+        config = SweepConfig(replicas=args.replicas, workers=args.workers,
+                             chunk_size=args.chunk_size, base_seed=args.seed,
+                             mode=mode, fallback=args.fallback)
+    except ValueError as exc:
+        # A bad size is a usage error: one line and argparse's status 2.
+        print("repro sweep: error: %s" % exc, file=sys.stderr)
+        raise SystemExit(2)
     if args.resume and args.checkpoint_dir is None:
         raise SystemExit("--resume requires --checkpoint-dir")
     if args.skip_quarantined and not args.resume:
@@ -415,14 +419,6 @@ def build_parser():
                        help="base seed each replica's seed is forked from")
     sweep.add_argument("--chunk-size", type=int, default=None,
                        help="replicas per dispatched work unit")
-    sweep.add_argument("--pool-warm", dest="pool_warm",
-                       action="store_true", default=True,
-                       help="reuse the process-wide warm worker pool "
-                            "across sweeps (default)")
-    sweep.add_argument("--no-pool-warm", dest="pool_warm",
-                       action="store_false",
-                       help="use a private worker pool torn down with "
-                            "the sweep")
     sweep.add_argument("--no-fallback", dest="fallback",
                        action="store_false", default=True,
                        help="always dispatch to worker processes, even "
@@ -431,8 +427,8 @@ def build_parser():
     sweep.add_argument("--serial", action="store_true",
                        help="force the bit-identical serial fallback path")
     sweep.add_argument("--supervised", action="store_true",
-                       help="dispatch through the supervised worker pool: "
-                            "worker crashes, hangs, and timeouts cost one "
+                       help="retry and quarantine failed replicas: worker "
+                            "crashes, hangs, and timeouts cost one "
                             "replica attempt instead of the whole sweep")
     sweep.add_argument("--replica-timeout", type=float, default=None,
                        metavar="SECONDS",

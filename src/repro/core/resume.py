@@ -28,9 +28,9 @@ this module is the policy layer that decides *when* to snapshot and
   uninterrupted sweep.  The pending set re-enters ``run_sweep`` with
   the same (spec, base seed, workers) triple, so in-process resumes
   (retry loops, salvage-then-retry) land on the process-wide warm
-  worker pool (:mod:`repro.sim.workerpool`) instead of paying pool
-  start-up and cache warm-up again; and when the pending set is small,
-  the adaptive fallback skips process dispatch for it entirely.
+  worker pool (:mod:`repro.sim.workerpool`) instead of paying worker
+  start-up again; and when the pending set is small, the adaptive
+  fallback skips process dispatch for it entirely.
 """
 
 import os

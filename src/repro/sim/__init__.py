@@ -27,13 +27,11 @@ from repro.sim.errors import (
     SimulationError,
     ScheduleInPastError,
     SupervisionError,
-    SweepWorkerError,
 )
 from repro.sim.events import Event, EventQueue, Kernel, PeriodicTask
 from repro.sim.faults import FaultInjector, FaultKind, FaultWindow, lan_scope
 from repro.sim.retry import RetryPolicy, RetryTask, deterministic_backoff
 from repro.sim.rng import DeterministicRandom
-from repro.sim.supervisor import ChaosPlan, SupervisorConfig, supervise_sweep
 from repro.sim.sweep import (
     SweepConfig,
     SweepResult,
@@ -43,7 +41,13 @@ from repro.sim.sweep import (
     should_fallback,
 )
 from repro.sim.trace import TraceLog, TraceRecord
-from repro.sim.workerpool import WarmPool, shared_pool, shutdown_shared_pool
+from repro.sim.workerpool import (
+    ChaosPlan,
+    SupervisorConfig,
+    WorkerPool,
+    shared_pool,
+    shutdown_shared_pool,
+)
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -71,10 +75,9 @@ __all__ = [
     "SupervisorConfig",
     "SweepConfig",
     "SweepResult",
-    "SweepWorkerError",
     "TraceLog",
     "TraceRecord",
-    "WarmPool",
+    "WorkerPool",
     "adaptive_chunk_size",
     "deterministic_backoff",
     "lan_scope",
@@ -87,6 +90,5 @@ __all__ = [
     "shutdown_shared_pool",
     "snapshot_kernel",
     "state_digest",
-    "supervise_sweep",
     "write_checkpoint",
 ]

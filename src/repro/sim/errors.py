@@ -18,7 +18,7 @@ class ScheduleInPastError(SimulationError):
 
 
 class SupervisionError(SimulationError):
-    """The supervised sweep could not keep its worker pool productive.
+    """A pooled sweep could not keep its worker pool productive.
 
     Raised for supervisor-level breakdowns (e.g. workers dying faster
     than the restart budget allows), as opposed to the per-replica
@@ -44,41 +44,18 @@ class ReplicaTimeoutError(SupervisionError):
 class PoisonReplicaError(SupervisionError):
     """A replica failed every allowed attempt (raised only under
     ``on_failure="fail"``; ``on_failure="quarantine"`` records a
-    ``ReplicaFailure`` instead and lets the sweep finish)."""
+    ``ReplicaFailure`` instead and lets the sweep finish).  ``detail``
+    is the last attempt's detail, e.g. ``"TypeError: ..."``."""
 
-    def __init__(self, index, attempts, reason):
+    def __init__(self, index, attempts, reason, detail=None):
+        last = "%s (%s)" % (reason, detail) if detail else reason
         super().__init__(
             "replica %d failed %d attempt%s (last failure: %s)"
-            % (index, attempts, "" if attempts == 1 else "s", reason))
+            % (index, attempts, "" if attempts == 1 else "s", last))
         self.index = index
         self.attempts = attempts
         self.reason = reason
-
-
-class SweepWorkerError(SimulationError):
-    """A replica failed inside a (non-supervised) warm-pool worker.
-
-    The worker catches replica exceptions at the chunk boundary and
-    reports them as framed error rows, so the pool itself normally
-    stays healthy — ``pool_broken`` is True only when the worker
-    *process* died mid-chunk (detected as pipe EOF), in which case the
-    pool must be torn down rather than reused.  For crash *recovery*
-    instead of a raised error, use ``mode="supervised"``.
-    """
-
-    def __init__(self, index, kind, detail, dropped=0, pool_broken=False):
-        where = ("replica %d" % index) if index is not None else "a replica"
-        extra = ""
-        if dropped:
-            extra = " (+%d more replica error%s)" % (
-                dropped, "" if dropped == 1 else "s")
-        super().__init__("%s failed in a warm-pool worker: %s: %s%s"
-                         % (where, kind, detail, extra))
-        self.index = index
-        self.kind = kind
         self.detail = detail
-        self.dropped = dropped
-        self.pool_broken = pool_broken
 
 
 class CheckpointError(SimulationError):

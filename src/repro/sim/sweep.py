@@ -15,10 +15,13 @@ properties make the ensemble trustworthy:
    :func:`~repro.core.ensemble.run_replica`, so ``mode="serial"``
    reproduces the parallel results exactly, replica for replica.
 
-The parallel path dispatches through the warm, reusable worker pool in
-:mod:`repro.sim.workerpool` (spec shipped once at warm-up, compact
-binary result rows, cross-sweep reuse) and is *adaptive*: a timed
-in-process probe of the first pending replica sizes the chunks
+There are two dispatch paths: serial, and the warm, reusable,
+supervised worker pool of :mod:`repro.sim.workerpool` (spec shipped
+once per worker, compact binary result rows, cross-sweep reuse).
+Supervision is a policy of the pool run, not a path: default sweeps
+fail fast on the first failed replica, supervised ones retry and
+quarantine.  Default sweeps are also *adaptive*: a timed in-process
+probe of the first pending replica sizes the chunks
 (:func:`adaptive_chunk_size`) and, when the whole remaining ensemble
 costs less than the parallelism break-even, skips process dispatch
 entirely (:func:`should_fallback`).  Which path actually ran is
@@ -34,12 +37,11 @@ import math
 import os
 import time
 
-from repro.sim.errors import SweepWorkerError
-
 #: Estimated remaining serial seconds below which process dispatch
 #: cannot pay for itself: pool warm-up, task framing, and row decoding
 #: cost on the order of low hundreds of milliseconds, so an ensemble
-#: cheaper than this finishes sooner run in-process.
+#: cheaper than this finishes sooner run in-process.  ``run_sweep``
+#: reads it at call time.
 PARALLEL_BREAK_EVEN_SECONDS = 0.2
 
 #: Target wall-clock seconds per dispatched chunk when sizing chunks
@@ -103,20 +105,19 @@ def _integral(name, value):
 class SweepConfig:
     """How to run an ensemble: size, pool shape, and dispatch mode.
 
-    ``mode="supervised"`` routes dispatch through
-    :mod:`repro.sim.supervisor` — isolated worker processes with crash
-    recovery, per-replica timeouts, and poison-replica quarantine —
-    instead of the bare ``multiprocessing.Pool``.
+    ``mode="parallel"`` (or ``"auto"`` with more than one worker and
+    replica) runs on the warm worker pool of :mod:`repro.sim.workerpool`
+    and stops at the first failed replica; ``mode="supervised"`` runs on
+    the same pool but retries and quarantines failed replicas instead.
     """
 
     __slots__ = ("replicas", "workers", "chunk_size", "base_seed", "mode",
-                 "pool_warm", "fallback", "fallback_threshold")
+                 "fallback")
 
     MODES = ("auto", "serial", "parallel", "supervised")
 
     def __init__(self, replicas=16, workers=None, chunk_size=None,
-                 base_seed=0, mode="auto", pool_warm=True, fallback=True,
-                 fallback_threshold=None):
+                 base_seed=0, mode="auto", fallback=True):
         replicas = _integral("replicas", replicas)
         if workers is None:
             workers = os.cpu_count() or 1
@@ -126,33 +127,19 @@ class SweepConfig:
         if mode not in self.MODES:
             raise ValueError("mode must be one of %s, got %r"
                              % (self.MODES, mode))
-        for name, value in (("pool_warm", pool_warm),
-                            ("fallback", fallback)):
-            if not isinstance(value, bool):
-                raise TypeError("%s must be a bool, got %r" % (name, value))
-        if fallback_threshold is not None:
-            if isinstance(fallback_threshold, bool) or \
-                    not isinstance(fallback_threshold, (int, float)):
-                raise TypeError("fallback_threshold must be a number or "
-                                "None, got %r" % (fallback_threshold,))
-            if not fallback_threshold > 0:
-                raise ValueError("fallback_threshold must be positive, "
-                                 "got %r" % (fallback_threshold,))
+        if not isinstance(fallback, bool):
+            raise TypeError("fallback must be a bool, got %r" % (fallback,))
         self.replicas = replicas
         self.workers = workers
         self.chunk_size = chunk_size
         self.base_seed = base_seed
         self.mode = mode
-        #: Reuse the process-wide warm pool across sweeps (default).
-        #: False builds a private pool and closes it with the sweep.
-        self.pool_warm = pool_warm
         #: Allow the adaptive serial fallback when the probed ensemble
         #: cost sits below the parallelism break-even.
         self.fallback = fallback
-        self.fallback_threshold = fallback_threshold
 
     def resolved_mode(self):
-        """The dispatch path ``run_sweep`` will actually take."""
+        """The dispatch mode ``run_sweep`` will actually use."""
         if self.mode != "auto":
             return self.mode
         if self.workers > 1 and self.replicas > 1:
@@ -169,18 +156,11 @@ class SweepConfig:
             return self.chunk_size
         return max(1, math.ceil(self.replicas / (self.workers * 4)))
 
-    def resolved_fallback_threshold(self):
-        """Break-even seconds below which dispatch falls back to serial."""
-        if self.fallback_threshold is not None:
-            return self.fallback_threshold
-        return PARALLEL_BREAK_EVEN_SECONDS
-
     def __repr__(self):
         return ("SweepConfig(replicas=%d, workers=%d, chunk_size=%r, "
-                "base_seed=%r, mode=%r, pool_warm=%r, fallback=%r)"
+                "base_seed=%r, mode=%r, fallback=%r)"
                 % (self.replicas, self.workers, self.chunk_size,
-                   self.base_seed, self.mode, self.pool_warm,
-                   self.fallback))
+                   self.base_seed, self.mode, self.fallback))
 
 
 def shard_indices(replicas, chunk_size):
@@ -230,15 +210,15 @@ class SweepResult:
         #: tolerates the gaps: every derived view runs over whatever
         #: replicas exist.
         self.failures = list(failures or [])
-        #: Supervision report (counters, spans) from the supervised
-        #: path; None for serial/parallel dispatch.  Kept separate from
-        #: the replica data because it is inherently wall-clock-bound
-        #: and therefore nondeterministic.
+        #: Supervision report (counters, spans) from the worker pool;
+        #: None when no pool ran.  Kept separate from the replica data
+        #: because it is inherently wall-clock-bound and therefore
+        #: nondeterministic.
         self.supervision = supervision
         #: How dispatch actually went: which path ran ("serial",
-        #: "warm-pool", "serial-fallback", "supervised"), the probe
-        #: measurement and break-even that steered it, and whether a
-        #: warm pool was reused.  Wall-clock-bound like ``supervision``,
+        #: "serial-fallback", "warm-pool"), the probe measurement and
+        #: break-even that steered it, and whether a warm pool was
+        #: reused.  Wall-clock-bound like ``supervision``,
         #: so kept apart from the replica data — tests assert on
         #: ``dispatch["path"]``, never on the timings.
         self.dispatch = dispatch or {}
@@ -264,7 +244,7 @@ class SweepResult:
         return [replica.metrics for replica in self.replicas]
 
     def quarantined(self):
-        """Indices of poison replicas quarantined by the supervisor."""
+        """Indices of poison replicas quarantined by a supervised run."""
         return sorted(failure.index for failure in self.failures
                       if failure.quarantined)
 
@@ -344,51 +324,6 @@ class SweepResult:
                    self.wall_seconds))
 
 
-def _dispatch_warm_pool(spec, config, chunks, workers, record, dispatch):
-    """Run ``chunks`` on a warm pool, applying the lifecycle policy.
-
-    ``pool_warm=True`` (the default) acquires the process-wide shared
-    pool — reused across sweeps when (spec, base seed, workers) match —
-    and leaves it warm on success *and* after a replica-level
-    :class:`SweepWorkerError` (the workers are healthy; only the
-    replica failed).  Anything else escaping mid-dispatch (worker
-    death, ``KeyboardInterrupt``, a manifest write blowing up) leaves
-    chunks in flight, so the pool is terminated outright — no worker
-    process ever outlives a failed sweep.
-    """
-    from repro.sim.workerpool import (
-        WarmPool,
-        invalidate_shared_pool,
-        shared_pool,
-    )
-
-    if config.pool_warm:
-        pool, reused = shared_pool(spec, config.base_seed, config.workers)
-    else:
-        pool, reused = WarmPool(spec, config.base_seed, workers), False
-    dispatch["pool_reused"] = reused
-    try:
-        replicas = pool.run(chunks, on_replica=record)
-    except SweepWorkerError as exc:
-        if exc.pool_broken:
-            if config.pool_warm:
-                invalidate_shared_pool(pool)
-            else:
-                pool.terminate()
-        elif not config.pool_warm:
-            pool.close()
-        raise
-    except BaseException:
-        if config.pool_warm:
-            invalidate_shared_pool(pool)
-        else:
-            pool.terminate()
-        raise
-    if not config.pool_warm:
-        pool.close()
-    return replicas
-
-
 def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
               supervision=None, retry_quarantined=True, **overrides):
     """Run an ensemble of seeded replicas of ``spec``.
@@ -408,15 +343,21 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
     per-replica seeding makes the merged result byte-identical to an
     uninterrupted sweep, down to the trace digests.
 
-    ``supervision`` (a :class:`~repro.sim.supervisor.SupervisorConfig`)
-    or ``mode="supervised"`` routes dispatch through the supervised
-    worker pool: crashes, hangs, and timeouts cost single replica
-    attempts instead of the ensemble, and poison replicas land as
+    Parallel sweeps run on the warm worker pool under the fail-fast
+    policy (:data:`~repro.sim.workerpool.FAIL_FAST`): the first failed
+    replica raises its typed error.  ``supervision`` (a
+    :class:`~repro.sim.workerpool.SupervisorConfig`) or
+    ``mode="supervised"`` runs the same pool under that policy instead:
+    crashes, hangs, and timeouts cost single replica attempts instead of
+    the ensemble, and poison replicas land as
     :attr:`SweepResult.failures` (quarantine records persist in the
-    manifest).  On resume, quarantined replicas are retried by default;
-    ``retry_quarantined=False`` skips them and carries their failure
-    records into the result instead — both choices are deterministic,
-    because a retried replica re-runs from its pure ``replica_seed``.
+    manifest).  Supervised sweeps skip the in-process cost probe, so a
+    poison replica never runs in this process, and only an explicit
+    ``mode="serial"`` refuses supervision.  On resume, quarantined
+    replicas are retried by default; ``retry_quarantined=False`` skips
+    them and carries their failure records into the result instead —
+    both choices are deterministic, because a retried replica re-runs
+    from its pure ``replica_seed``.
 
     A ``KeyboardInterrupt`` mid-sweep tears the worker pool down hard
     but keeps the checkpoint manifest intact: every replica recorded
@@ -432,15 +373,14 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
     mode = config.resolved_mode()
-    if supervision is not None:
-        if mode == "serial":
+    if supervision is not None or mode == "supervised":
+        if config.mode == "serial":
             raise ValueError("serial mode cannot be supervised: "
                              "supervision needs worker processes")
-        mode = "supervised"
-    elif mode == "supervised":
-        from repro.sim.supervisor import SupervisorConfig
+        from repro.sim.workerpool import SupervisorConfig
 
-        supervision = SupervisorConfig()
+        mode = "supervised"
+        supervision = supervision or SupervisorConfig()
     from repro.core.ensemble import run_replica
 
     manifest = None
@@ -473,75 +413,60 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
     started = time.perf_counter()
     failures = []
     supervision_report = None
+    workers_used = 1
+    break_even = PARALLEL_BREAK_EVEN_SECONDS
     dispatch = {
         "requested_mode": config.mode,
-        "path": mode,
-        "pool_warm": config.pool_warm,
+        "path": "serial" if mode == "serial" else "warm-pool",
         "pool_reused": False,
         "fallback_enabled": config.fallback,
         "probe_seconds": None,
         "estimated_seconds": None,
-        "break_even_seconds": config.resolved_fallback_threshold(),
+        "break_even_seconds": break_even,
     }
-    if mode == "serial":
-        replicas = [record(run_replica(spec, index, config.base_seed))
-                    for index in pending]
-        workers_used = 1
-    elif mode == "supervised":
-        from repro.sim.supervisor import supervise_sweep
+    replicas = []
+    rest = pending
+    if mode == "parallel" and pending and \
+            (config.fallback or config.chunk_size is None):
+        # Cost probe: run the first pending replica in-process and time
+        # it.  The measurement steers adaptive chunk sizing and the
+        # serial fallback; the probe replica is a full, recorded result,
+        # so probing never duplicates work.
+        probe_started = time.perf_counter()
+        replicas.append(record(run_replica(spec, pending[0],
+                                           config.base_seed)))
+        probe = time.perf_counter() - probe_started
+        rest = pending[1:]
+        dispatch["probe_seconds"] = probe
+        dispatch["estimated_seconds"] = probe * len(rest)
+        if rest and config.fallback and \
+                should_fallback(len(rest), probe, break_even):
+            # Below break-even: process dispatch would cost more than it
+            # buys.  Finish in-process — byte-identical, because both
+            # paths run the same run_replica from the same pure
+            # per-replica seeds.
+            dispatch["path"] = "serial-fallback"
+    if dispatch["path"] != "warm-pool":
+        replicas.extend(record(run_replica(spec, index, config.base_seed))
+                        for index in rest)
+    elif rest:
+        from repro.sim.workerpool import FAIL_FAST, shared_pool
 
-        workers_used = min(config.workers, len(pending)) or 1
-        replicas = []
-        if pending:
-            outcome = supervise_sweep(
-                spec, config.base_seed, pending,
-                workers=config.workers, chunk_size=chunk_size,
-                supervision=supervision, record=record,
-                record_failure=(manifest.record_failure
-                                if manifest is not None else None))
-            replicas = outcome.replicas
-            failures = outcome.failures
-            supervision_report = outcome.report
-            workers_used = outcome.report["workers"]
-    else:
-        dispatch["path"] = "warm-pool"
-        replicas = []
-        workers_used = 1
-        rest = pending
-        if pending and (config.fallback or config.chunk_size is None):
-            # Cost probe: run the first pending replica in-process and
-            # time it.  The measurement steers adaptive chunk sizing
-            # and the serial fallback; the probe replica is a full,
-            # recorded result, so probing never duplicates work.
-            probe_started = time.perf_counter()
-            replicas.append(record(run_replica(spec, pending[0],
-                                               config.base_seed)))
-            probe = time.perf_counter() - probe_started
-            rest = pending[1:]
-            dispatch["probe_seconds"] = probe
-            dispatch["estimated_seconds"] = probe * len(rest)
-        if rest:
-            if config.fallback and should_fallback(
-                    len(rest), dispatch["probe_seconds"],
-                    config.resolved_fallback_threshold()):
-                # Below break-even: process dispatch would cost more
-                # than it buys.  Finish in-process — byte-identical,
-                # because both paths run the same run_replica from the
-                # same pure per-replica seeds.
-                dispatch["path"] = "serial-fallback"
-                replicas.extend(record(run_replica(spec, index,
-                                                   config.base_seed))
-                                for index in rest)
-            else:
-                if config.chunk_size is None:
-                    chunk_size = adaptive_chunk_size(
-                        len(rest), config.workers,
-                        dispatch["probe_seconds"])
-                chunks = shard_chunks(rest, chunk_size)
-                workers_used = min(config.workers, len(chunks)) or 1
-                replicas.extend(_dispatch_warm_pool(
-                    spec, config, chunks, workers_used, record, dispatch))
-        replicas.sort(key=lambda replica: replica.index)
+        if mode == "parallel" and config.chunk_size is None:
+            chunk_size = adaptive_chunk_size(len(rest), config.workers,
+                                             dispatch["probe_seconds"])
+        pool, dispatch["pool_reused"] = shared_pool(
+            spec, config.base_seed, config.workers)
+        outcome = pool.run(
+            shard_chunks(rest, chunk_size), supervision or FAIL_FAST,
+            record=record,
+            record_failure=(manifest.record_failure
+                            if manifest is not None else None))
+        replicas.extend(outcome.replicas)
+        failures = outcome.failures
+        supervision_report = outcome.report
+        workers_used = outcome.report["workers"]
+    replicas.sort(key=lambda replica: replica.index)
     failures = sorted(failures + carried_failures,
                       key=lambda failure: failure.index)
     result = SweepResult(

@@ -244,6 +244,18 @@ def test_resume_without_checkpoint_dir_is_rejected():
               "--serial", "--resume"])
 
 
+@pytest.mark.parametrize("flag", ["--workers", "--replicas",
+                                  "--chunk-size"])
+def test_sweep_rejects_bad_size_as_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--campaign", "shamoon", flag, "0"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "must be >= 1, got 0" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_checkpoint_then_resume_matches(tmp_path, capsys):
     import os
 

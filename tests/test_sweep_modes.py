@@ -2,10 +2,10 @@
 
 The determinism pillar of the sweep engine, asserted at full strength:
 for every registered campaign spec (including both epidemic scenarios),
-serial, warm-pool parallel, supervised, and adaptive-fallback dispatch
-must produce byte-identical ``SweepResult`` payloads — measurements,
-trace digests, merged metrics, aggregates — across worker counts and
-chunk sizes.  The oracle is ``as_dict()`` equality after stripping only
+serial, the worker pool under its default and supervised policies, and
+adaptive-fallback dispatch must produce byte-identical ``SweepResult``
+payloads — measurements, trace digests, merged metrics, aggregates —
+across worker counts and chunk sizes.  The oracle is ``as_dict()`` equality after stripping only
 the fields that are *documented* as wall-clock-bound (timings, pool
 bookkeeping, the supervision report): everything derived from replica
 data must match to the byte, which the canonical-JSON comparison
@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.core.ensemble import CAMPAIGNS, CampaignSpec
+from repro.sim import sweep
 from repro.sim.sweep import SweepConfig, run_sweep
 
 BASE_SEED = 1307
@@ -73,6 +74,7 @@ def test_warm_pool_parallel_matches_serial(campaign):
         SweepConfig(replicas=REPLICAS, workers=2, mode="parallel",
                     base_seed=BASE_SEED, fallback=False))
     assert result.dispatch["path"] == "warm-pool"
+    assert result.mode == "parallel"
     assert result.dispatch["probe_seconds"] > 0
     assert canonical(result) == serial_payload(campaign)
 
@@ -96,21 +98,26 @@ def test_supervised_matches_serial(campaign):
         CampaignSpec.quick(campaign),
         SweepConfig(replicas=REPLICAS, workers=2, mode="supervised",
                     base_seed=BASE_SEED))
-    assert result.dispatch["path"] == "supervised"
+    assert result.dispatch["path"] == "warm-pool"
+    assert result.mode == "supervised"
+    # Supervised sweeps never probe in-process.
+    assert result.dispatch["probe_seconds"] is None
     assert result.complete()
     assert canonical(result) == serial_payload(campaign)
 
 
 @pytest.mark.parametrize("campaign", ALL_CAMPAIGNS)
-def test_adaptive_fallback_matches_serial(campaign):
+def test_adaptive_fallback_matches_serial(campaign, monkeypatch):
     # An absurd break-even forces the fallback decision; the payload
     # must not budge, because the fallback runs the very same
     # run_replica from the very same pure per-replica seeds.
+    monkeypatch.setattr(sweep, "PARALLEL_BREAK_EVEN_SECONDS", 1e9)
     result = run_sweep(
         CampaignSpec.quick(campaign),
         SweepConfig(replicas=REPLICAS, workers=2, mode="parallel",
-                    base_seed=BASE_SEED, fallback_threshold=1e9))
+                    base_seed=BASE_SEED))
     assert result.dispatch["path"] == "serial-fallback"
+    assert result.dispatch["break_even_seconds"] == 1e9
     assert result.dispatch["estimated_seconds"] < 1e9
     assert canonical(result) == serial_payload(campaign)
 

@@ -10,6 +10,9 @@ heartbeats that stop — and asserts the two supervision invariants:
    because every attempt re-runs from the replica's pure seed.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.core.ensemble import CampaignSpec, ReplicaFailure
@@ -20,11 +23,37 @@ from repro.sim.errors import (
     ReplicaTimeoutError,
     SupervisionError,
 )
-from repro.sim.supervisor import ChaosPlan, SupervisorConfig
 from repro.sim.sweep import SweepConfig, run_sweep
+from repro.sim.workerpool import (
+    ChaosPlan,
+    SupervisorConfig,
+    WorkerPool,
+    shutdown_shared_pool,
+)
 
 
 SPEC = CampaignSpec.quick("shamoon")
+
+
+def leaked_workers(timeout=3.0):
+    """Live ``sweep-worker-*`` children, waiting briefly for reaping."""
+    deadline = time.monotonic() + timeout
+    while True:
+        names = [process.name
+                 for process in multiprocessing.active_children()
+                 if process.name.startswith("sweep-worker-")]
+        if not names or time.monotonic() >= deadline:
+            return names
+        time.sleep(0.05)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Each test starts and ends with no shared pool (and no leaks)."""
+    shutdown_shared_pool()
+    yield
+    shutdown_shared_pool()
+    assert leaked_workers() == []
 
 
 def serial_baseline(replicas=4, base_seed=42):
@@ -72,6 +101,18 @@ def test_supervision_refuses_serial_mode():
     with pytest.raises(ValueError, match="serial"):
         run_sweep(SPEC, SweepConfig(replicas=2, mode="serial", base_seed=1),
                   supervision=SupervisorConfig())
+
+
+def test_supervision_runs_an_auto_config_that_resolves_to_serial():
+    # One worker (any 1-CPU host's default) makes "auto" resolve to
+    # serial; asking for supervision still runs it on the pool.
+    config = SweepConfig(replicas=3, workers=1, base_seed=42)
+    assert config.resolved_mode() == "serial"
+    result = run_sweep(SPEC, config, supervision=SupervisorConfig())
+    assert result.mode == "supervised"
+    assert result.dispatch["path"] == "warm-pool"
+    assert result.supervision["workers"] == 1
+    assert digests(result) == digests(serial_baseline(replicas=3))
 
 
 # -- crash isolation -----------------------------------------------------------
@@ -292,8 +333,6 @@ def test_deadline_salvage_then_resume_completes_the_sweep(tmp_path):
 
 def test_keyboard_interrupt_flushes_manifest_and_kills_pool(tmp_path,
                                                             monkeypatch):
-    from repro.sim.workerpool import WarmPool
-
     checkpoint = str(tmp_path / "sweep")
     config = SweepConfig(replicas=6, workers=2, mode="parallel",
                          base_seed=42, chunk_size=1)
@@ -308,17 +347,18 @@ def test_keyboard_interrupt_flushes_manifest_and_kills_pool(tmp_path,
 
     monkeypatch.setattr(SweepCheckpoint, "record", explode_on_third)
     terminated = []
-    original_terminate = WarmPool.terminate
+    original_terminate = WorkerPool.terminate
 
     def spy_terminate(self):
         terminated.append(True)
         return original_terminate(self)
 
-    monkeypatch.setattr(WarmPool, "terminate", spy_terminate)
+    monkeypatch.setattr(WorkerPool, "terminate", spy_terminate)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(SPEC, config, checkpoint_dir=checkpoint)
     # The pool was torn down hard (no orphaned workers)...
     assert terminated
+    assert leaked_workers() == []
     # ...and every replica recorded before the interrupt is on disk, so
     # the checkpoint is a valid resume point.
     monkeypatch.undo()

@@ -1,18 +1,20 @@
-"""Pool lifecycle regressions for the warm sweep worker pool.
+"""Lifecycle regressions for the one sweep worker pool.
 
-The warm pool trades per-sweep pool churn for a long-lived resource,
-which creates exactly one new failure class: leaked worker processes.
-These tests pin the lifecycle contract from
-:func:`repro.sim.sweep._dispatch_warm_pool`:
+A warm pool trades per-sweep start-up for a long-lived resource, which
+creates exactly one new failure class: leaked worker processes.  These
+tests pin the lifecycle contract of :class:`repro.sim.workerpool.
+WorkerPool`:
 
-* a *replica* error (caught worker-side) raises the typed
-  :class:`SweepWorkerError` and leaves the warm pool healthy and
-  reusable;
-* anything escaping mid-dispatch — a manifest write raising,
-  ``KeyboardInterrupt``, a worker *process* dying — terminates the
-  pool outright, so no worker survives a failed sweep;
-* the shared pool is genuinely reused across sweeps, and
-  ``shutdown_shared_pool`` (the atexit hook) reaps it.
+* a run that returns leaves the pool warm, and the shared pool is
+  genuinely reused across sweeps;
+* anything escaping a run — a typed replica error under the default
+  fail-fast policy, a manifest write raising, ``KeyboardInterrupt`` —
+  terminates the pool, so no worker survives a failed sweep;
+* a worker that dies while idle is reaped and replaced without
+  charging any replica an attempt;
+* ``shutdown_shared_pool`` (the atexit hook) reaps the survivor.
+
+Every test ends by asserting that no ``sweep-worker-*`` child leaked.
 """
 
 import multiprocessing
@@ -22,10 +24,12 @@ import pytest
 
 from repro.core.ensemble import CampaignSpec, replica_seed, run_replica
 from repro.core.resume import SweepCheckpoint
-from repro.sim.errors import SweepWorkerError
+from repro.sim.errors import PoisonReplicaError
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.sim.workerpool import (
-    WarmPool,
+    FAIL_FAST,
+    WorkerPool,
+    _shared,
     decode_replica_row,
     encode_replica_row,
     shutdown_shared_pool,
@@ -39,13 +43,16 @@ POISON_SPEC = CampaignSpec.quick("stuxnet", fault_profile="flaky-network",
                                  fault_params={"bogus": 1})
 
 
-def warm_worker_count(timeout=3.0):
-    """Live ``sweep-warm-*`` children, waiting briefly for reaping."""
+def sweep_workers():
+    return [process for process in multiprocessing.active_children()
+            if process.name.startswith("sweep-worker-")]
+
+
+def worker_count(timeout=3.0):
+    """Live ``sweep-worker-*`` children, waiting briefly for reaping."""
     deadline = time.monotonic() + timeout
     while True:
-        workers = [process for process in multiprocessing.active_children()
-                   if process.name.startswith("sweep-warm-")]
-        count = len(workers)
+        count = len(sweep_workers())
         if count == 0 or time.monotonic() >= deadline:
             return count
         time.sleep(0.05)
@@ -57,7 +64,7 @@ def reset_shared_pool():
     shutdown_shared_pool()
     yield
     shutdown_shared_pool()
-    assert warm_worker_count() == 0
+    assert worker_count() == 0
 
 
 def pool_config(**overrides):
@@ -76,7 +83,7 @@ def test_shared_pool_is_reused_across_sweeps():
     assert second.dispatch["pool_reused"] is True
     assert first.digests() == second.digests()
     # The pool is alive between sweeps — that is the whole point.
-    assert warm_worker_count(timeout=0.0) == 2
+    assert worker_count(timeout=0.0) == 2
 
 
 def test_changing_the_key_swaps_the_pool_without_leaking():
@@ -85,27 +92,39 @@ def test_changing_the_key_swaps_the_pool_without_leaking():
     assert swapped.dispatch["pool_reused"] is False
     # The stale pool was closed when the key changed: only the new
     # pool's workers remain.
-    assert warm_worker_count(timeout=0.0) == 2
+    assert worker_count(timeout=0.0) == 2
 
 
-def test_private_pool_is_closed_with_its_sweep():
-    result = run_sweep(SPEC, pool_config(pool_warm=False))
-    assert result.dispatch["pool_reused"] is False
-    assert warm_worker_count() == 0
+def test_idle_worker_death_between_sweeps_is_respawned():
+    serial = run_sweep(SPEC, pool_config(mode="serial"))
+    run_sweep(SPEC, pool_config())
+    victim = sweep_workers()[0]
+    victim.kill()
+    victim.join()
+    # The dead worker's task pipe now has no reader: dispatching to it
+    # must reap and replace it, not escape as a raw BrokenPipeError.
+    second = run_sweep(SPEC, pool_config())
+    assert second.dispatch["pool_reused"] is True
+    assert second.supervision["worker_restarts"] == 1
+    assert second.failures == []
+    assert second.digests() == serial.digests()
+    assert second.measurements() == serial.measurements()
+    assert worker_count(timeout=0.0) == 2
 
 
 # -- failure lifecycle ---------------------------------------------------------
 
-def test_worker_replica_error_raises_typed_error_and_keeps_pool_warm():
-    with pytest.raises(SweepWorkerError) as excinfo:
+def test_worker_replica_error_raises_typed_error_and_terminates_pool():
+    with pytest.raises(PoisonReplicaError) as excinfo:
         run_sweep(POISON_SPEC, pool_config())
     error = excinfo.value
-    assert error.kind == "TypeError"
     assert error.index in range(4)
-    assert error.pool_broken is False
-    # The workers caught the replica error at the chunk boundary and
-    # stayed healthy: the warm pool survives for the next sweep.
-    assert warm_worker_count(timeout=0.0) == 2
+    assert error.reason == "error"
+    assert error.detail.startswith("TypeError: ")
+    assert "TypeError: " in str(error)
+    # Fail-fast: the error escaped the run, so the pool is gone.
+    assert _shared["pool"] is None
+    assert worker_count() == 0
 
 
 def test_record_callback_exception_terminates_pool(tmp_path, monkeypatch):
@@ -125,35 +144,21 @@ def test_record_callback_exception_terminates_pool(tmp_path, monkeypatch):
     monkeypatch.undo()
     # Chunks were in flight when the exception escaped: the pool must
     # be terminated, not left warm (its workers may be mid-replica).
-    assert warm_worker_count() == 0
+    assert _shared["pool"] is None
+    assert worker_count() == 0
     # A fresh sweep after the failure builds a fresh pool and works.
     clean = run_sweep(SPEC, pool_config())
     assert clean.dispatch["pool_reused"] is False
     assert len(clean.replicas) == 4
 
 
-def test_dead_worker_surfaces_as_pool_broken_error():
-    pool = WarmPool(SPEC, 42, workers=2)
-    try:
-        for process in multiprocessing.active_children():
-            if process.name.startswith("sweep-warm-"):
-                process.kill()
-                process.join()
-        assert pool.alive() is False
-        with pytest.raises(SweepWorkerError) as excinfo:
-            pool.run([[0], [1]])
-        assert excinfo.value.pool_broken is True
-    finally:
-        pool.terminate()
-    assert warm_worker_count() == 0
-
-
 def test_warm_pool_context_manager_reaps_on_error():
     with pytest.raises(KeyboardInterrupt):
-        with WarmPool(SPEC, 42, workers=2) as pool:
-            assert pool.alive()
+        with WorkerPool(SPEC, 42, workers=2) as pool:
+            pool.run([[0], [1]], FAIL_FAST)
+            assert len(pool.pids()) == 2
             raise KeyboardInterrupt
-    assert warm_worker_count() == 0
+    assert worker_count() == 0
 
 
 # -- direct pool use and the row codec -----------------------------------------
@@ -166,23 +171,24 @@ def stable_dict(replica):
 
 
 def test_warm_pool_run_matches_in_process_replicas():
-    with WarmPool(SPEC, 7, workers=2) as pool:
-        replicas = sorted(pool.run([[0, 1], [2]]),
-                          key=lambda replica: replica.index)
+    with WorkerPool(SPEC, 7, workers=2) as pool:
+        outcome = pool.run([[0, 1], [2]], FAIL_FAST)
         reference = [run_replica(SPEC, index, 7) for index in range(3)]
-        assert [stable_dict(r) for r in replicas] == \
+        assert [stable_dict(r) for r in outcome.replicas] == \
             [stable_dict(r) for r in reference]
-        # A second dispatch on the same (still warm) pool works too.
-        again = pool.run([[0]])
-        assert stable_dict(again[0]) == stable_dict(reference[0])
-    assert warm_worker_count() == 0
+        pids = pool.pids()
+        # A second dispatch on the same (still warm) workers works too.
+        again = pool.run([[0]], FAIL_FAST)
+        assert stable_dict(again.replicas[0]) == stable_dict(reference[0])
+        assert pool.pids() == pids
+    assert worker_count() == 0
 
 
 def test_closed_pool_refuses_dispatch():
-    pool = WarmPool(SPEC, 7, workers=1)
+    pool = WorkerPool(SPEC, 7, workers=1)
     pool.close()
     with pytest.raises(RuntimeError):
-        pool.run([[0]])
+        pool.run([[0]], FAIL_FAST)
 
 
 def test_replica_row_codec_round_trips_a_real_replica():
