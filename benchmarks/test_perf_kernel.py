@@ -1,6 +1,6 @@
 """Kernel hot-path benchmarks: trace-query indexes and event dispatch.
 
-Three measurements, written together to ``BENCH_kernel.json`` at the
+Four measurements, written together to ``BENCH_kernel.json`` at the
 repository root so CI can track the perf trajectory across PRs:
 
 1. **Trace queries** — a 100k-record trace queried through the indexed
@@ -11,6 +11,9 @@ repository root so CI can track the perf trajectory across PRs:
    single-heap-access ``Kernel.run`` loop, reported as events/second.
 3. **Cancellation** — a mass-cancel workload that exercises the event
    queue's lazy heap compaction.
+4. **Periodic tasks** — two jitter-free ``PeriodicTask``s at 30 s and
+   60 s, the shape of a PLC scan plus its safety poll, reported as
+   events/second with no floor.
 
 ``--quick`` shrinks repetition counts (not the trace size — the 100k
 -record query floor is always measured) so CI finishes in seconds.
@@ -205,3 +208,34 @@ def test_cancellation_compaction_throughput(quick):
     print()
     print("cancellation: %d cancels in %.3fs, heap %d -> drain %.4fs"
           % (scheduled, cancel_wall, heap_after_cancel, run_wall))
+
+
+def test_periodic_task_throughput(quick):
+    # The natanz replica's kernel load: a 30 s safety poll beside a
+    # 60 s PLC scan, with trivial callbacks so only the kernel is timed.
+    horizon = 30.0 * (20_000 if quick else 200_000)
+    kernel = Kernel(seed=17)
+    fired = [0]
+
+    def tick():
+        fired[0] += 1
+
+    kernel.every(30.0, tick, "bench-poll")
+    kernel.every(60.0, tick, "bench-scan")
+    start = time.perf_counter()
+    dispatched = kernel.run(until=horizon)
+    wall = time.perf_counter() - start
+
+    assert dispatched == fired[0] == int(horizon / 30.0 + horizon / 60.0)
+
+    rate = dispatched / wall if wall else float("inf")
+    _update_bench("periodic", {
+        "events": dispatched,
+        "intervals_seconds": [30.0, 60.0],
+        "quick": quick,
+        "wall_seconds": wall,
+        "events_per_second": rate,
+    })
+    print()
+    print("periodic: %d events in %.3fs -> %d events/s"
+          % (dispatched, wall, rate))

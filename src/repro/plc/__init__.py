@@ -15,7 +15,7 @@ from repro.plc.drives import (
     FrequencyConverterDrive,
     VACON,
 )
-from repro.plc.profibus import ProfibusBus, PROFIBUS_CP_MODEL
+from repro.plc.profibus import ProfibusBus, ProfibusError, PROFIBUS_CP_MODEL
 from repro.plc.blocks import CodeBlock
 from repro.plc.plc import ProgrammableLogicController
 from repro.plc.s7otbx import S7CommunicationLibrary, TrojanizedS7Library
@@ -31,6 +31,7 @@ __all__ = [
     "FrequencyConverterDrive",
     "PROFIBUS_CP_MODEL",
     "ProfibusBus",
+    "ProfibusError",
     "ProgrammableLogicController",
     "S7CommunicationLibrary",
     "Step7Application",

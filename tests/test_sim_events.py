@@ -89,8 +89,15 @@ def test_periodic_task_stopping_itself_mid_fire(kernel):
 
 
 def test_periodic_rejects_nonpositive_interval(kernel):
-    with pytest.raises(ValueError):
-        kernel.every(0.0, lambda: None)
+    # NaN compares False against every bound, so it must fail up front
+    # rather than later inside call_later with a message about `delay`.
+    for interval in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interval"):
+            kernel.every(interval, lambda: None)
+    for jitter in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="jitter"):
+            kernel.every(5.0, lambda: None, jitter=jitter)
+    assert kernel.pending_events == 0
 
 
 def test_runaway_simulation_raises(kernel):
