@@ -69,14 +69,6 @@ def _emit_campaign(args, header, result, kernel):
         print(prometheus_text(metrics), end="")
 
 
-def _apply_trace_limit(campaign, args):
-    """Honour ``--trace-limit`` before the campaign starts recording."""
-    limit = getattr(args, "trace_limit", None)
-    if limit is not None:
-        campaign.world.kernel.trace.bound(limit)
-    return campaign
-
-
 def _run_single(args, header, meta, factory, run=None):
     """Shared driver for the single-campaign subcommands.
 
@@ -118,10 +110,9 @@ def _run_single(args, header, meta, factory, run=None):
 
 def _cmd_stuxnet(args):
     def factory():
-        return _apply_trace_limit(
-            StuxnetNatanzCampaign(seed=args.seed,
-                                  centrifuge_count=args.centrifuges,
-                                  duration_days=args.days), args)
+        return StuxnetNatanzCampaign(seed=args.seed,
+                                     centrifuge_count=args.centrifuges,
+                                     duration_days=args.days)
 
     _run_single(args, "Stuxnet / Natanz (%d days):" % args.days,
                 {"campaign": "stuxnet", "seed": args.seed,
@@ -131,10 +122,9 @@ def _cmd_stuxnet(args):
 
 def _cmd_flame(args):
     def factory():
-        return _apply_trace_limit(
-            FlameEspionageCampaign(seed=args.seed,
-                                   victim_count=args.victims,
-                                   duration_weeks=args.weeks), args)
+        return FlameEspionageCampaign(seed=args.seed,
+                                      victim_count=args.victims,
+                                      duration_weeks=args.weeks)
 
     _run_single(args, "Flame espionage (%d victims, %d weeks):"
                 % (args.victims, args.weeks),
@@ -147,9 +137,7 @@ def _cmd_flame(args):
 
 def _cmd_shamoon(args):
     def factory():
-        return _apply_trace_limit(
-            ShamoonWiperCampaign(seed=args.seed, host_count=args.hosts),
-            args)
+        return ShamoonWiperCampaign(seed=args.seed, host_count=args.hosts)
 
     _run_single(args, "Shamoon wiper (%d hosts):" % args.hosts,
                 {"campaign": "shamoon", "seed": args.seed,
@@ -167,11 +155,10 @@ def _cmd_epidemic(args):
                "flame": FlameEpidemicCampaign}
 
     def factory():
-        return _apply_trace_limit(
-            classes[args.scenario](
-                seed=args.seed, host_count=args.hosts, epochs=args.epochs,
-                initial_infections=args.initial_infections,
-                promote_samples=args.promote_samples), args)
+        return classes[args.scenario](
+            seed=args.seed, host_count=args.hosts, epochs=args.epochs,
+            initial_infections=args.initial_infections,
+            promote_samples=args.promote_samples)
 
     def run(campaign):
         result = dict(campaign.run())
@@ -203,25 +190,33 @@ def _cmd_epidemic(args):
 
 
 def _cmd_trace(args):
+    import contextlib
+    import os
+
+    # Open the output and create the figures directory before the
+    # campaign runs, so a bad path fails at once: one line and
+    # argparse's usage-error status 2.
+    try:
+        if args.figures is not None:
+            os.makedirs(args.figures, exist_ok=True)
+        output = (contextlib.nullcontext(sys.stdout) if args.out == "-"
+                  else open(args.out, "w", encoding="utf-8"))
+    except OSError as exc:
+        print("repro trace: error: %s" % exc, file=sys.stderr)
+        raise SystemExit(2)
     params = {} if args.full else dict(QUICK_PARAMS[args.campaign])
-    campaign = _apply_trace_limit(
-        CAMPAIGNS[args.campaign](seed=args.seed, **params), args)
-    campaign.run()
-    kernel = campaign.world.kernel
+    campaign = CAMPAIGNS[args.campaign](seed=args.seed, **params)
     meta = {"campaign": args.campaign, "seed": args.seed,
             "preset": "full" if args.full else "quick"}
-    if args.out == "-":
-        write_jsonl(kernel, sys.stdout, meta=meta)
-    else:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            lines = write_jsonl(kernel, stream, meta=meta)
+    with output as stream:
+        campaign.run()
+        kernel = campaign.world.kernel
+        lines = write_jsonl(kernel, stream, meta=meta)
+    if args.out != "-":
         print("wrote %d lines (%d spans, %d records, %d metrics) to %s"
               % (lines, len(kernel.spans), len(kernel.trace),
                  len(kernel.metrics), args.out))
     if args.figures is not None:
-        import os
-
-        os.makedirs(args.figures, exist_ok=True)
         for figure, edges in sorted(export_figures(kernel).items()):
             path = os.path.join(args.figures, "%s.json" % figure)
             with open(path, "w", encoding="utf-8") as stream:
@@ -337,13 +332,6 @@ def build_parser():
             help="also dump the kernel metrics registry (Prometheus "
                  "text, or a 'metrics' key under --json)")
 
-    def add_trace_limit_flag(subparser):
-        subparser.add_argument(
-            "--trace-limit", type=int, default=None, metavar="N",
-            help="bound the trace log to the newest N records "
-                 "(caps memory on million-event runs; the default "
-                 "keeps everything)")
-
     def add_checkpoint_flags(subparser, periodic=True):
         subparser.add_argument(
             "--checkpoint-dir", default=None, metavar="DIR",
@@ -364,7 +352,6 @@ def build_parser():
     stuxnet.add_argument("--days", type=int, default=180)
     stuxnet.add_argument("--centrifuges", type=int, default=984)
     add_metrics_flag(stuxnet)
-    add_trace_limit_flag(stuxnet)
     add_checkpoint_flags(stuxnet)
     stuxnet.set_defaults(func=_cmd_stuxnet)
 
@@ -375,7 +362,6 @@ def build_parser():
     flame.add_argument("--suicide", action="store_true",
                        help="broadcast SUICIDE at the end")
     add_metrics_flag(flame)
-    add_trace_limit_flag(flame)
     add_checkpoint_flags(flame)
     flame.set_defaults(func=_cmd_flame)
 
@@ -383,7 +369,6 @@ def build_parser():
     shamoon.add_argument("--seed", type=int, default=2012)
     shamoon.add_argument("--hosts", type=int, default=1000)
     add_metrics_flag(shamoon)
-    add_trace_limit_flag(shamoon)
     add_checkpoint_flags(shamoon)
     shamoon.set_defaults(func=_cmd_shamoon)
 
@@ -404,7 +389,6 @@ def build_parser():
                           help="write the per-epoch infection curve as "
                                "JSON to PATH")
     add_metrics_flag(epidemic)
-    add_trace_limit_flag(epidemic)
     add_checkpoint_flags(epidemic)
     epidemic.set_defaults(func=_cmd_epidemic)
 
@@ -479,7 +463,6 @@ def build_parser():
     trace.add_argument("--figures", default=None, metavar="DIR",
                        help="also write per-figure edge lists "
                             "(fig*.json) into DIR")
-    add_trace_limit_flag(trace)
     trace.set_defaults(func=_cmd_trace)
 
     return parser

@@ -73,11 +73,6 @@ def trace_lines(kernel, meta=None):
     header = {"kind": "meta", "format": EXPORT_FORMAT,
               "spans": len(kernel.spans), "records": len(kernel.trace),
               "sim_seconds": kernel.clock.now}
-    evicted = getattr(kernel.trace, "evicted_records", 0)
-    if evicted:
-        # Only present for bounded traces, so unbounded exports (and
-        # their committed golden digests) are byte-identical.
-        header["records_evicted"] = evicted
     if meta:
         header.update({str(k): jsonable(v) for k, v in meta.items()})
     yield header

@@ -3,7 +3,7 @@
 A checkpoint captures everything the kernel owns that is pure data —
 clock, RNG streams (main + fault-injector fork), dispatch counters, the
 event heap (including cancelled entries awaiting lazy compaction), the
-full trace log with its bounded-mode accounting, the span recorder, the
+full trace log (its records, in append order), the span recorder, the
 metrics registry, and the fault schedule — as one canonical JSON
 envelope protected by SHA-256 digests.
 
@@ -43,7 +43,7 @@ from repro.sim.errors import (
 
 #: Bump whenever the envelope or state payload shape changes; readers
 #: reject other versions with :class:`CheckpointVersionError`.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Envelope kinds: each file type declares what it is, so a sweep
 #: replica file can never be mistaken for a kernel snapshot.

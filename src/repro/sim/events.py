@@ -247,13 +247,10 @@ class Kernel:
     #: assumed to be stuck in a self-rescheduling loop.
     DEFAULT_MAX_EVENTS = 5_000_000
 
-    def __init__(self, seed=0, epoch=None, trace_max_records=None):
+    def __init__(self, seed=0, epoch=None):
         self.clock = SimClock() if epoch is None else SimClock(epoch)
         self.rng = DeterministicRandom(seed)
-        #: ``trace_max_records`` caps trace memory for million-event
-        #: runs (see :meth:`repro.sim.trace.TraceLog.bound`); the
-        #: default keeps every record, as the golden exports require.
-        self.trace = TraceLog(self.clock, max_records=trace_max_records)
+        self.trace = TraceLog(self.clock)
         #: Observability: kill-chain spans and the metrics registry.
         #: Both are pure recorders — they consume no randomness and
         #: schedule no events, so instrumentation never perturbs a

@@ -147,14 +147,11 @@ class SweepConfig:
         return "serial"
 
     def resolved_chunk_size(self):
-        """Chunk size balancing dispatch overhead against load balance.
-
-        Four chunks per worker amortises per-task pickling while still
-        smoothing over replicas with uneven runtimes.
-        """
+        """The explicit chunk size, else :func:`adaptive_chunk_size`'s
+        unprobed four-chunks-per-worker spread."""
         if self.chunk_size is not None:
             return self.chunk_size
-        return max(1, math.ceil(self.replicas / (self.workers * 4)))
+        return adaptive_chunk_size(self.replicas, self.workers, None)
 
     def __repr__(self):
         return ("SweepConfig(replicas=%d, workers=%d, chunk_size=%r, "
@@ -181,18 +178,11 @@ def shard_chunks(indices, chunk_size):
 
 
 class SweepResult:
-    """An ensemble's replicas plus how they were produced.
-
-    The derived views (:meth:`aggregate`, :meth:`merged_metrics`,
-    :meth:`aggregate_metrics`) are memoised: a result is immutable once
-    built, and the CLI renders the same aggregates two or three times
-    per sweep (table, ``--json``, ``--metrics``), so each is computed
-    once and the cached mapping returned — treat them as read-only.
-    """
+    """An ensemble's replicas plus how they were produced."""
 
     __slots__ = ("spec", "mode", "workers", "chunk_size", "base_seed",
                  "replicas", "wall_seconds", "failures", "supervision",
-                 "dispatch", "_cache")
+                 "dispatch")
 
     def __init__(self, spec, mode, workers, chunk_size, base_seed,
                  replicas, wall_seconds, failures=None, supervision=None,
@@ -222,14 +212,6 @@ class SweepResult:
         #: so kept apart from the replica data — tests assert on
         #: ``dispatch["path"]``, never on the timings.
         self.dispatch = dispatch or {}
-        self._cache = {}
-
-    def _cached(self, key, compute):
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = compute()
-            return value
 
     def measurements(self):
         """Per-replica measurement dicts, in replica order."""
@@ -256,32 +238,27 @@ class SweepResult:
         """One ensemble-wide metrics snapshot (counters/histograms add)."""
         from repro.core.ensemble import merge_metric_snapshots
 
-        return self._cached("merged_metrics",
-                            lambda: merge_metric_snapshots(self.replicas))
+        return merge_metric_snapshots(self.replicas)
 
     def aggregate(self):
         """Summary statistics per measurement key (see ensemble module)."""
         from repro.core.ensemble import aggregate
 
-        return self._cached("aggregate", lambda: aggregate(self.replicas))
+        return aggregate(self.replicas)
 
     def aggregate_metrics(self):
         """Summary statistics per metric across replicas."""
         from repro.core.ensemble import aggregate_metrics
 
-        return self._cached("aggregate_metrics",
-                            lambda: aggregate_metrics(self.replicas))
+        return aggregate_metrics(self.replicas)
 
     def merge_replicas(self, more):
         """Splice replicas recovered from a resume manifest into this
         result, keeping index order.
 
-        This is the one sanctioned mutation of a built result, so it
-        also drops every memoised aggregate — the cached mappings were
-        computed over the pre-merge ensemble and would silently
-        misreport the merged one.  A duplicate index is always a
-        caller bug (the resume path only re-runs replicas the manifest
-        did *not* record) and raises rather than picking a winner.
+        A duplicate index is always a caller bug (the resume path only
+        re-runs replicas the manifest did *not* record) and raises
+        rather than picking a winner.
         """
         merged = {replica.index: replica for replica in self.replicas}
         for replica in more:
@@ -291,7 +268,6 @@ class SweepResult:
                     % replica.index)
             merged[replica.index] = replica
         self.replicas = [merged[index] for index in sorted(merged)]
-        self._cache.clear()
         return self
 
     def as_dict(self):

@@ -5,18 +5,11 @@ benchmark harness regenerates them by replaying the trace of a simulated
 campaign.  A :class:`TraceRecord` is one arrow in such a diagram: who did
 what to whom, when, with what details.
 
-``TraceLog`` is the hottest read path in the reproduction: every figure
-replay and prose-claim benchmark issues hundreds of :meth:`TraceLog.query`
-calls, and an ensemble multiplies that by the replica count.  The log
-therefore maintains per-actor and per-action indexes incrementally on
-:meth:`record`, so queries resolve from an index intersection instead of
-a full scan, and exploits the simulation clock's monotonicity to binary
--search ``since``/``until`` windows.  The original linear scan survives
-as :meth:`query_linear`, the reference implementation the differential
-test suite checks the indexes against.
+``TraceLog`` is an append-only list of records, and :meth:`TraceLog.query`
+is one linear scan over it.  A campaign replica writes a few hundred to
+a few thousand records and queries them at most a handful of times, so
+the scan is cheap and no index pays for itself.
 """
-
-from bisect import bisect_left, bisect_right
 
 
 class TraceRecord:
@@ -43,7 +36,7 @@ class TraceRecord:
 
 
 def _matches(value, pattern):
-    """The filter predicate shared by the indexed and linear paths.
+    """The per-field filter predicate of :meth:`TraceLog.query`.
 
     ``None`` pattern matches everything; a ``None`` value matches no
     pattern; a trailing ``*`` turns the pattern into a prefix match.
@@ -58,115 +51,19 @@ def _matches(value, pattern):
 
 
 class TraceLog:
-    """Append-only record of everything that happened in a simulation.
+    """Append-only record of everything that happened in a simulation."""
 
-    Pass ``max_records`` (or call :meth:`bound` later) to cap memory for
-    million-event runs: the log then retains only the newest
-    ``max_records`` entries, evicting the oldest in batches and counting
-    them in :attr:`evicted_records`.  Unbounded logs (the default)
-    behave exactly as before — every record is retained and every
-    digest/export is unchanged.
-    """
-
-    def __init__(self, clock, max_records=None):
+    def __init__(self, clock):
         self._clock = clock
         self._records = []
-        #: Times of the retained records, parallel to ``_records`` —
-        #: the bisect target for ``since``/``until`` windows.
-        self._times = []
-        #: Absolute position of ``_records[0]``; positions stored in the
-        #: indexes are absolute, so eviction never renumbers them.
-        self._offset = 0
-        self._by_actor = {}
-        self._by_action = {}
-        #: Cleared if a record ever arrives with a time below its
-        #: predecessor's; the window bisection is only valid while set.
-        self._monotonic = True
-        self._evicted = 0
-        self._max_records = None
-        if max_records is not None:
-            self.bound(max_records)
 
     # -- recording ---------------------------------------------------------------
 
     def record(self, actor, action, target=None, **detail):
         """Append a record stamped with the current virtual time."""
         entry = TraceRecord(self._clock.now, actor, action, target, detail)
-        records = self._records
-        times = self._times
-        if times and entry.time < times[-1]:
-            self._monotonic = False
-        position = self._offset + len(records)
-        records.append(entry)
-        times.append(entry.time)
-        by_actor = self._by_actor
-        if actor in by_actor:
-            by_actor[actor].append(position)
-        else:
-            by_actor[actor] = [position]
-        by_action = self._by_action
-        if action in by_action:
-            by_action[action].append(position)
-        else:
-            by_action[action] = [position]
-        if self._max_records is not None and len(records) > self._max_records:
-            self._evict_to(self._max_records - self._max_records // 4)
+        self._records.append(entry)
         return entry
-
-    # -- bounded mode ------------------------------------------------------------
-
-    @property
-    def max_records(self):
-        """The retention cap, or None when the log is unbounded."""
-        return self._max_records
-
-    @property
-    def evicted_records(self):
-        """How many of the oldest records bounded mode has dropped."""
-        return self._evicted
-
-    @property
-    def total_records(self):
-        """Records ever written, retained or not."""
-        return self._offset + len(self._records)
-
-    def bound(self, max_records):
-        """Cap retention at the newest ``max_records`` entries.
-
-        Eviction happens in batches of roughly a quarter of the cap, so
-        the amortised cost per record stays O(1); ``len(self)`` never
-        exceeds the cap.  Pass ``None`` to remove the cap (already
-        -evicted records are gone for good).
-        """
-        if max_records is not None:
-            if isinstance(max_records, bool) or not isinstance(max_records, int):
-                raise TypeError("max_records must be an integer or None, "
-                                "got %r" % (max_records,))
-            if max_records < 1:
-                raise ValueError("max_records must be >= 1, got %r"
-                                 % (max_records,))
-        self._max_records = max_records
-        if max_records is not None and len(self._records) > max_records:
-            self._evict_to(max(1, max_records - max_records // 4))
-
-    def _evict_to(self, keep):
-        """Drop the oldest records until only ``keep`` remain."""
-        drop = len(self._records) - keep
-        if drop <= 0:
-            return
-        self._offset += drop
-        self._evicted += drop
-        del self._records[:drop]
-        del self._times[:drop]
-        offset = self._offset
-        for index in (self._by_actor, self._by_action):
-            for key in list(index):
-                positions = index[key]
-                cut = bisect_left(positions, offset)
-                if cut == len(positions):
-                    del index[key]
-                elif cut:
-                    del positions[:cut]
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -181,10 +78,6 @@ class TraceLog:
         from repro.obs.export import jsonable
 
         return {
-            "offset": self._offset,
-            "evicted": self._evicted,
-            "max_records": self._max_records,
-            "monotonic": self._monotonic,
             "records": [
                 {"time": record.time, "actor": record.actor,
                  "action": record.action,
@@ -195,14 +88,7 @@ class TraceLog:
         }
 
     def load_state(self, state):
-        """Replace this log's contents with a checkpointed snapshot.
-
-        The per-actor/per-action indexes and the bisect time array are
-        rebuilt from the records — they are derived structures, so the
-        snapshot never stores them — and the bounded-mode counters
-        (offset, evictions, cap) are restored so eviction behaviour
-        continues exactly where the captured run left off.
-        """
+        """Replace this log's contents with a checkpointed snapshot."""
         from repro.sim.errors import CheckpointError
 
         try:
@@ -211,29 +97,11 @@ class TraceLog:
                             entry["target"], entry["detail"])
                 for entry in state["records"]
             ]
-            offset = int(state["offset"])
-            evicted = int(state["evicted"])
-            max_records = state["max_records"]
-            monotonic = bool(state["monotonic"])
-        except CheckpointError:
-            raise
         except Exception as exc:
             raise CheckpointError(
                 "malformed trace state: %s: %s"
                 % (type(exc).__name__, exc)) from exc
         self._records = records
-        self._times = [record.time for record in records]
-        self._offset = offset
-        self._evicted = evicted
-        self._max_records = max_records
-        self._monotonic = monotonic
-        by_actor = {}
-        by_action = {}
-        for position, record in enumerate(records, start=offset):
-            by_actor.setdefault(record.actor, []).append(position)
-            by_action.setdefault(record.action, []).append(position)
-        self._by_actor = by_actor
-        self._by_action = by_action
 
     # -- container protocol ------------------------------------------------------
 
@@ -249,7 +117,7 @@ class TraceLog:
     # -- queries -----------------------------------------------------------------
 
     def query(self, actor=None, action=None, target=None, since=None, until=None):
-        """Return records matching every given filter.
+        """Return records matching every given filter, in append order.
 
         ``actor``, ``action``, and ``target`` all match exactly, except
         that a trailing ``*`` turns the filter into a prefix match —
@@ -257,97 +125,7 @@ class TraceLog:
         (``action="flame.*"``) and hostname families
         (``target="aramco-*"``) filter the same way.  A record with no
         target never matches a ``target`` filter, even ``"*"``.
-
-        Resolution is index-driven: actor/action filters intersect the
-        per-key position indexes, and monotonic time windows bisect —
-        the results are bit-for-bit those of :meth:`query_linear`.
-        """
-        records = self._records
-        lo, hi = 0, len(records)
-        if self._monotonic:
-            # The window becomes a slice; no per-record time checks.
-            if since is not None:
-                lo = bisect_left(self._times, since)
-                since = None
-            if until is not None:
-                hi = bisect_right(self._times, until)
-                until = None
-            if lo >= hi:
-                return []
-        candidates = self._candidate_positions(actor, action)
-        out = []
-        if candidates is None:
-            # No indexable filter: scan the (window-trimmed) slice.
-            for index in range(lo, hi):
-                rec = records[index]
-                if not _matches(rec.target, target):
-                    continue
-                if since is not None and rec.time < since:
-                    continue
-                if until is not None and rec.time > until:
-                    continue
-                out.append(rec)
-            return out
-        offset = self._offset
-        start = bisect_left(candidates, offset + lo)
-        stop = bisect_left(candidates, offset + hi)
-        for position in candidates[start:stop]:
-            rec = records[position - offset]
-            if not _matches(rec.target, target):
-                continue
-            if since is not None and rec.time < since:
-                continue
-            if until is not None and rec.time > until:
-                continue
-            out.append(rec)
-        return out
-
-    def _candidate_positions(self, actor, action):
-        """Sorted absolute positions matching the actor/action filters.
-
-        ``None`` when neither filter constrains the scan; positions are
-        ascending, so results keep append order.
-        """
-        if actor is None and action is None:
-            return None
-        lists = []
-        if actor is not None:
-            lists.append(self._index_lookup(self._by_actor, actor))
-        if action is not None:
-            lists.append(self._index_lookup(self._by_action, action))
-        if len(lists) == 1:
-            return lists[0]
-        first, second = lists
-        if not first or not second:
-            return []
-        if len(first) > len(second):
-            first, second = second, first
-        members = set(second)
-        return [position for position in first if position in members]
-
-    def _index_lookup(self, index, pattern):
-        """Positions whose key matches ``pattern`` (exact or prefix-``*``)."""
-        if pattern.endswith("*"):
-            prefix = pattern[:-1]
-            hits = [positions for key, positions in index.items()
-                    if key is not None and key.startswith(prefix)]
-            if not hits:
-                return []
-            if len(hits) == 1:
-                return hits[0]
-            return sorted(position for positions in hits
-                          for position in positions)
-        positions = index.get(pattern)
-        return positions if positions is not None else []
-
-    def query_linear(self, actor=None, action=None, target=None, since=None,
-                     until=None):
-        """The pre-index full-scan :meth:`query`, kept as the reference.
-
-        The differential test suite asserts ``query`` returns exactly
-        the records this returns for every filter combination; it scans
-        the retained records, so under bounded mode both paths see the
-        same (post-eviction) history.
+        ``since`` and ``until`` bound the record time inclusively.
         """
         out = []
         for rec in self._records:
@@ -370,7 +148,7 @@ class TraceLog:
 
     def actions(self):
         """Set of distinct action names seen so far."""
-        return set(self._by_action)
+        return {record.action for record in self._records}
 
     def first(self, **filters):
         """Earliest matching record, or None."""

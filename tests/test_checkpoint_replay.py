@@ -323,6 +323,18 @@ def test_version_mismatch_raises_version_error(envelope_on_disk):
     assert excinfo.value.found == CHECKPOINT_VERSION + 1
 
 
+def test_format_1_envelope_raises_version_error(envelope_on_disk):
+    """Format 1 stored the trace with its index and eviction fields;
+    such a file is refused by version, not replayed into divergence."""
+    envelope = json.load(open(envelope_on_disk, encoding="utf-8"))
+    envelope["format"] = 1
+    with open(envelope_on_disk, "w", encoding="utf-8") as stream:
+        json.dump(envelope, stream)
+    with pytest.raises(CheckpointVersionError) as excinfo:
+        read_checkpoint(envelope_on_disk)
+    assert (excinfo.value.expected, excinfo.value.found) == (2, 1)
+
+
 def test_tampered_state_raises_digest_error(envelope_on_disk):
     envelope = json.load(open(envelope_on_disk, encoding="utf-8"))
     envelope["state"]["dispatched"] += 1

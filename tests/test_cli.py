@@ -99,6 +99,43 @@ def test_trace_rejects_quick_and_full_together():
     assert excinfo.value.code == 2
 
 
+def _forbid_campaign_run(monkeypatch):
+    """Make building any campaign fail the test: a bad output path must
+    be reported before the simulation starts."""
+    from repro.core import ensemble
+
+    def refuse(**_params):
+        raise AssertionError("campaign built despite a bad output path")
+
+    for name in list(ensemble.CAMPAIGNS):
+        monkeypatch.setitem(ensemble.CAMPAIGNS, name, refuse)
+
+
+def test_trace_unwritable_out_is_a_usage_error(tmp_path, monkeypatch,
+                                               capsys):
+    _forbid_campaign_run(monkeypatch)
+    with pytest.raises(SystemExit) as excinfo:
+        main(TRACE_ARGS + ["--out", str(tmp_path / "absent" / "x.jsonl")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro trace: error: ")
+    assert err.count("\n") == 1
+
+
+def test_trace_figures_path_that_is_a_file_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    _forbid_campaign_run(monkeypatch)
+    existing = tmp_path / "figs"
+    existing.write_text("not a directory")
+    out = tmp_path / "trace.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(TRACE_ARGS + ["--out", str(out), "--figures", str(existing)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro trace: error: ")
+    assert err.count("\n") == 1
+
+
 # -- the --metrics flag --------------------------------------------------------
 
 def test_metrics_flag_json_shape(capsys):
@@ -153,27 +190,6 @@ def test_sweep_without_metrics_flag_omits_metric_keys(capsys):
     payload = json.loads(out[out.index("{"):])
     assert "metrics_merged" not in payload
     assert "metrics_aggregate" not in payload
-
-
-def test_trace_limit_bounds_the_exported_trace(capsys):
-    """``--trace-limit`` caps trace memory: the JSONL export carries
-    only the newest N records plus a ``records_evicted`` meta count."""
-    assert main(["trace", "--campaign", "shamoon", "--seed", "3",
-                 "--quick", "--trace-limit", "40", "--out", "-"]) == 0
-    lines = [json.loads(line)
-             for line in capsys.readouterr().out.strip().split("\n")]
-    meta = lines[0]
-    assert meta["kind"] == "meta"
-    assert meta["records"] == 40
-    assert meta["records_evicted"] > 0
-    records = [line for line in lines if line["kind"] == "record"]
-    assert len(records) == 40
-
-
-def test_campaign_trace_limit_flag_runs(capsys):
-    assert main(["shamoon", "--hosts", "10", "--seed", "4",
-                 "--trace-limit", "25"]) == 0
-    assert "Shamoon wiper" in capsys.readouterr().out
 
 
 # -- checkpoint / resume flags -------------------------------------------------

@@ -1,6 +1,9 @@
 """Trace log recording and querying."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.sim import Kernel
+from repro.sim.trace import TraceLog
 
 
 def _populated_kernel():
@@ -82,54 +85,81 @@ def test_dump_and_len():
     assert "alice" in text and text.count("\n") == 1
 
 
-def test_bounded_mode_evicts_oldest_records():
-    kernel = Kernel(seed=0)
-    trace = kernel.trace
-    trace.bound(100)
-    assert trace.max_records == 100
-    for index in range(1000):
-        kernel.clock.advance_to(float(index))
-        trace.record("actor-%d" % (index % 7), "act-%d" % (index % 13),
-                     "host-%d" % index)
-    assert len(trace) <= 100
-    assert trace.evicted_records + len(trace) == trace.total_records
-    assert trace.total_records == 1000
-    # Only the newest records survive, in append order.
-    times = [record.time for record in trace]
-    assert times == sorted(times)
-    assert times[-1] == 999.0
-    # Queries see exactly the retained history (linear reference agrees).
-    for filters in ({"actor": "actor-3"}, {"action": "act-*"},
-                    {"since": 950.0}, {"target": "host-99*"}):
-        assert trace.query(**filters) == trace.query_linear(**filters)
-    assert trace.actions() == {record.action for record in trace}
+# -- Hypothesis: filters compose ---------------------------------------------
+
+class _Clock:
+    """Settable stand-in for SimClock; lets tests stamp arbitrary times."""
+
+    def __init__(self):
+        self.now = 0.0
 
 
-def test_bounded_mode_validation_and_unbounding():
-    import pytest
-
-    kernel = Kernel(seed=0)
-    with pytest.raises(ValueError):
-        kernel.trace.bound(0)
-    with pytest.raises(TypeError):
-        kernel.trace.bound(50.0)
-    with pytest.raises(TypeError):
-        kernel.trace.bound(True)
-    kernel.trace.bound(10)
-    kernel.trace.bound(None)  # cap removed; nothing else changes
-    assert kernel.trace.max_records is None
-
-
-def test_kernel_trace_max_records_kwarg():
-    kernel = Kernel(seed=0, trace_max_records=50)
-    for index in range(200):
-        kernel.trace.record("a", "act", "t-%d" % index)
-    assert len(kernel.trace) <= 50
-    assert kernel.trace.evicted_records == 200 - len(kernel.trace)
+#: A few fixed instants, so generated logs hold records with equal
+#: times and the window bounds land exactly on record times.
+_instants = st.sampled_from([0.0, 25.0, 50.0, 75.0, 100.0])
+_names = st.sampled_from(
+    ["a", "b", "ab", "abc", "flame.upload", "flame.suicide", "stuxnet-cnc",
+     "stuxnet-plc", "host-1", "host-2", ""])
+_targets = st.one_of(st.none(), _names)
+_patterns = st.one_of(
+    st.none(),
+    _names,
+    _names.map(lambda n: n + "*"),
+    st.sampled_from(["*", "fl*", "flame.*", "stuxnet*", "host-*", "zz*"]))
+_bounds = st.one_of(st.none(), _instants,
+                    st.floats(min_value=-10.0, max_value=110.0,
+                              allow_nan=False))
 
 
-def test_query_linear_is_the_documented_reference():
-    trace = _populated_kernel().trace
-    for filters in ({}, {"actor": "alice"}, {"action": "flame.*"},
-                    {"target": "server-*"}, {"since": 5.0, "until": 15.0}):
-        assert trace.query(**filters) == trace.query_linear(**filters)
+@st.composite
+def _trace_logs(draw):
+    clock = _Clock()
+    trace = TraceLog(clock)
+    entries = draw(st.lists(
+        st.tuples(st.one_of(_instants,
+                            st.floats(min_value=0.0, max_value=100.0,
+                                      allow_nan=False)),
+                  _names, _names, _targets),
+        max_size=60))
+    if draw(st.booleans()):
+        entries.sort(key=lambda entry: entry[0])
+    for when, actor, action, target in entries:
+        clock.now = when
+        trace.record(actor, action, target=target)
+    return trace
+
+
+def _intersection(trace, *selections):
+    """Records of ``trace`` present in every selection, in append order."""
+    members = [{id(record) for record in selection}
+               for selection in selections]
+    return [record for record in trace
+            if all(id(record) in member for member in members)]
+
+
+@given(trace=_trace_logs(), actor=_patterns, action=_patterns,
+       target=_patterns, since=_bounds, until=_bounds)
+@settings(max_examples=200, deadline=None)
+def test_filters_compose_and_windows_cut_inclusively(trace, actor, action,
+                                                     target, since, until):
+    """A combined-filter query is the order-preserving intersection of
+    its single-filter queries; adding ``since``/``until`` cuts that
+    result at those times, inclusive at both ends."""
+    unwindowed = trace.query(actor=actor, action=action, target=target)
+    assert unwindowed == _intersection(
+        trace, trace.query(actor=actor), trace.query(action=action),
+        trace.query(target=target))
+    windowed = trace.query(actor=actor, action=action, target=target,
+                           since=since, until=until)
+    assert windowed == [
+        record for record in unwindowed
+        if (since is None or record.time >= since)
+        and (until is None or record.time <= until)]
+    assert trace.count(actor=actor, action=action, target=target,
+                       since=since, until=until) == len(windowed)
+    assert trace.first(actor=actor, action=action, target=target,
+                       since=since, until=until) is (
+        windowed[0] if windowed else None)
+    assert trace.last(actor=actor, action=action, target=target,
+                      since=since, until=until) is (
+        windowed[-1] if windowed else None)

@@ -172,17 +172,3 @@ def test_sweep_config_rejects_non_integral_pool_shape():
         SweepConfig(chunk_size=0)
     config = SweepConfig(replicas=4, workers=2, chunk_size=1)
     assert (config.replicas, config.workers, config.chunk_size) == (4, 2, 1)
-
-
-def test_sweep_result_caches_aggregate_views():
-    """``as_dict()`` (and the CLI, which renders the same aggregates
-    several times) must not recompute the summary statistics."""
-    spec = CampaignSpec.quick("shamoon")
-    result = run_sweep(spec, SweepConfig(replicas=2, mode="serial",
-                                         base_seed=5))
-    assert result.aggregate() is result.aggregate()
-    assert result.merged_metrics() is result.merged_metrics()
-    assert result.aggregate_metrics() is result.aggregate_metrics()
-    rendered = result.as_dict()
-    assert rendered["aggregate"] is result.aggregate()
-    assert rendered["metrics_merged"] is result.merged_metrics()
