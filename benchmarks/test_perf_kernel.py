@@ -9,7 +9,12 @@ repository root so CI can track the perf trajectory across PRs:
    queue's lazy heap compaction.
 3. **Periodic tasks** — two jitter-free ``PeriodicTask``s at 30 s and
    60 s, the shape of a PLC scan plus its safety poll, reported as
-   events/second with no floor.
+   events/second with no floor.  They carry no idle predicate, so every
+   firing is a plain dispatch.
+4. **Idle periodic tasks** — the same two tasks with idle predicates
+   that hold, bounded by an hourly ordinary event (the shape of
+   Stuxnet's trigger monitor), so the kernel skips the firings in
+   between; reported as events/second with no floor.
 
 ``--quick`` shrinks the workloads so CI finishes in seconds.
 """
@@ -137,3 +142,41 @@ def test_periodic_task_throughput(quick):
     print()
     print("periodic: %d events in %.3fs -> %d events/s"
           % (dispatched, wall, rate))
+
+
+def test_idle_periodic_task_throughput(quick):
+    # The natanz replica's idle stretches: the scan and poll change
+    # nothing, and an hourly monitor bounds each skip window.
+    horizon = 30.0 * (200_000 if quick else 2_000_000)
+    kernel = Kernel(seed=19)
+    skipped = [0]
+
+    def count(n):
+        skipped[0] += n
+
+    def tick():
+        raise AssertionError("an idle firing was dispatched")
+
+    kernel.every(30.0, tick, "bench-poll", idle=lambda: True, skipped=count)
+    kernel.every(60.0, tick, "bench-scan", idle=lambda: True, skipped=count)
+    kernel.every(3600.0, lambda: None, "bench-monitor")
+    start = time.perf_counter()
+    dispatched = kernel.run(until=horizon)
+    wall = time.perf_counter() - start
+
+    monitors = int(horizon / 3600.0)
+    assert skipped[0] == int(horizon / 30.0 + horizon / 60.0)
+    assert dispatched == skipped[0] + monitors
+
+    rate = dispatched / wall if wall else float("inf")
+    _update_bench("idle_periodic", {
+        "events": dispatched,
+        "skipped": skipped[0],
+        "intervals_seconds": [30.0, 60.0, 3600.0],
+        "quick": quick,
+        "wall_seconds": wall,
+        "events_per_second": rate,
+    })
+    print()
+    print("idle periodic: %d events (%d skipped) in %.3fs -> %d events/s"
+          % (dispatched, skipped[0], wall, rate))

@@ -6,6 +6,8 @@ Iranian company and one by a Finnish company."  The vendor constants
 below are that fingerprint.
 """
 
+import math
+
 #: The Iranian drive vendor the Stuxnet payload fingerprints.
 FARARO_PAYA = "Fararo Paya"
 #: The Finnish drive vendor the Stuxnet payload fingerprints.
@@ -41,9 +43,17 @@ class FrequencyConverterDrive:
             self._last_update = now
 
     def set_frequency(self, frequency):
-        """Command a new output frequency (clamped to the drive's ceiling)."""
+        """Command a new output frequency (clamped to the drive's ceiling).
+
+        NaN has no place to clamp to — ``min``/``max`` would quietly
+        turn it into a 0 Hz command — so it raises ``ValueError``.
+        """
+        frequency = float(frequency)
+        if math.isnan(frequency):
+            raise ValueError("drive %r cannot be commanded to a NaN "
+                             "frequency" % (self.ident,))
         self.sync()
-        frequency = max(0.0, min(float(frequency), self.max_frequency))
+        frequency = max(0.0, min(frequency, self.max_frequency))
         self.frequency = frequency
         self.command_history.append((self._clock.now, frequency))
         return frequency

@@ -54,7 +54,14 @@ class ProgrammableLogicController:
                 if abs(drive.read_frequency() - plc.setpoint) > 0.5:
                     plc.bus.command_frequency(drive.ident, plc.setpoint)
 
-        self.store_block(CodeBlock("OB1", "OB", logic=ob1_logic, origin="engineer"))
+        def ob1_idle(plc):
+            # ob1_logic would command no drive.
+            return plc.control_suppressed or not any(
+                abs(drive.read_frequency() - plc.setpoint) > 0.5
+                for drive in plc.bus.devices())
+
+        self.store_block(CodeBlock("OB1", "OB", logic=ob1_logic,
+                                   origin="engineer", idle=ob1_idle))
 
     def store_block(self, block):
         """Write a block into PLC memory (the raw, unhooked path)."""
@@ -88,7 +95,8 @@ class ProgrammableLogicController:
         """Start the scan cycle on the kernel."""
         if self._scan_task is None:
             self._scan_task = self.kernel.every(
-                self.SCAN_INTERVAL, self._scan, "plc-scan:%s" % self.name
+                self.SCAN_INTERVAL, self._scan, "plc-scan:%s" % self.name,
+                idle=self._scan_idle, skipped=self._scans_skipped,
             )
         return self
 
@@ -110,6 +118,17 @@ class ProgrammableLogicController:
         for block in self._block_order:
             if block.kind == "OB" and block.logic is not None:
                 block.logic(self)
+
+    def _scan_idle(self):
+        """Whether a scan now would change nothing but :attr:`scan_count`."""
+        for block in self._block_order:
+            if block.kind == "OB" and block.logic is not None and (
+                    block.idle is None or not block.idle(self)):
+                return False
+        return True
+
+    def _scans_skipped(self, count):
+        self.scan_count += count
 
     # -- monitoring (what HMI and safety systems read) ---------------------------
 

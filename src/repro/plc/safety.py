@@ -28,7 +28,9 @@ class DigitalSafetySystem:
         """Start polling."""
         if self._task is None:
             self._task = self.kernel.every(
-                self.POLL_INTERVAL, self._poll, "safety-poll:%s" % self.plc.name
+                self.POLL_INTERVAL, self._poll,
+                "safety-poll:%s" % self.plc.name,
+                idle=self._poll_idle, skipped=self._polls_skipped,
             )
         return self
 
@@ -45,6 +47,18 @@ class DigitalSafetySystem:
         low, high = self.safe_band
         if frequency != 0.0 and not low <= frequency <= high:
             self.trip()
+
+    def _poll_idle(self):
+        """Whether a poll now would change nothing but :attr:`samples_taken`."""
+        if self.tripped:
+            return True
+        frequency = self.plc.reported_frequency()
+        low, high = self.safe_band
+        return frequency == 0.0 or low <= frequency <= high
+
+    def _polls_skipped(self, count):
+        if not self.tripped:
+            self.samples_taken += count
 
     def trip(self):
         """Emergency shutdown: command every drive to zero."""

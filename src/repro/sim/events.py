@@ -1,6 +1,7 @@
 """Event queue and kernel: the heart of the discrete-event simulation."""
 
 import math
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 
 from repro.obs.metrics import MetricsRegistry
@@ -19,9 +20,14 @@ class Event:
     :class:`EventQueue` — so that simultaneous events dispatch in the
     order they were scheduled, a property the replayed figure traces
     rely on.
+
+    ``task`` is the :class:`PeriodicTask` whose next firing this is,
+    set only for tasks with an idle predicate (see
+    :meth:`EventQueue.skip_idle`).
     """
 
-    __slots__ = ("time", "sequence", "callback", "label", "cancelled", "_queue")
+    __slots__ = ("time", "sequence", "callback", "label", "cancelled",
+                 "task", "_queue")
 
     def __init__(self, time, sequence, callback, label):
         self.time = time
@@ -29,6 +35,7 @@ class Event:
         self.callback = callback
         self.label = label
         self.cancelled = False
+        self.task = None
         self._queue = None
 
     def cancel(self):
@@ -60,6 +67,10 @@ class EventQueue:
     #: Compact only once at least this many cancelled entries linger,
     #: so small queues never pay the heapify.
     COMPACT_MIN_GARBAGE = 64
+
+    #: Most firings one :meth:`skip_idle` window advances; a window
+    #: with no other event to bound it ends here and the next begins.
+    MAX_SKIP = 1 << 10
 
     def __init__(self):
         self._heap = []
@@ -110,6 +121,107 @@ class EventQueue:
         event._queue = self
         self._live += 1
         heappush(self._heap, (event.time, event.sequence, event))
+
+    def skip_idle(self, first, until, limit):
+        """Advance idle periodic firings without dispatching them.
+
+        ``first`` was just popped and its task is idle.  Every further
+        idle task firing that heads the heap joins it; the heap entry
+        left on top after that bounds the window, as do ``until`` and
+        ``limit`` (the most firings the caller may still dispatch).  An
+        idle firing changes nothing but its task's counter, so no
+        predicate can change inside the window, and the firings due
+        before its bound are exactly those a dispatch loop would make.
+
+        Each firing's time is its predecessor's plus the interval,
+        added one at a time as :meth:`Kernel.call_later` adds it.  A
+        firing's heap sequence is the next free one when its
+        predecessor fired, so its rank in the merged order of the
+        window decides it: entries at equal times order by the firings
+        that created them, which is what :func:`_created_before`
+        compares.  The window's firings are always a prefix of that
+        order, so a run cut short by ``limit`` sees the state it would
+        have seen after dispatching them one by one.
+
+        Tasks' counters move by their firing counts and each popped
+        event is re-queued with the ``(time, sequence)`` it would have
+        had.  Returns ``(count, time, label)`` of the window's last
+        firing; with ``count == 0`` nothing fired, the other members
+        are back in the heap and ``first`` must be dispatched normally.
+        """
+        heap = self._heap
+        members = [first]
+        while heap:
+            time, _, event = heap[0]
+            task = event.task
+            if (event.cancelled or task is None
+                    or (until is not None and time > until)
+                    or not task.idle()):
+                break
+            heappop(heap)
+            event._queue = None
+            self._live -= 1
+            members.append(event)
+        stop = heap[0][0] if heap else math.inf
+        if until is not None:
+            stop = min(stop, math.nextafter(until, math.inf))
+        cap = min(limit, self.MAX_SKIP)
+        # Each member's firing times due before ``stop``, at most ``cap``
+        # of them: enough to hold the first ``cap`` firings overall.
+        firings = []
+        for event in members:
+            time = event.time
+            interval = event.task._interval
+            times = [time]
+            append = times.append
+            for _ in range(cap - 1):
+                time += interval
+                if time >= stop:
+                    break
+                append(time)
+            firings.append(times)
+        counts = [len(times) for times in firings]
+        if sum(counts) > cap:
+            # Cut at a time: the firings before the (cap + 1)-th
+            # earliest one are a prefix of the merged order.
+            cut = sorted(t for times in firings for t in times)[cap]
+            counts = [bisect_left(times, cut) for times in firings]
+        total = sum(counts)
+        if not total:
+            for event in members[1:]:
+                self.restore(event)
+            return 0, None, None
+        sequences = [event.sequence for event in members]
+        ranks = []
+        for j, count in enumerate(counts):
+            # Rank of member j's last firing in the merged order.
+            rank = index = count - 1
+            if count:
+                time = firings[j][index]
+                for m, other in enumerate(firings):
+                    if m == j:
+                        continue
+                    low = bisect_left(other, time, 0, counts[m])
+                    high = bisect_right(other, time, low, counts[m])
+                    rank += low
+                    for b in range(low, high):
+                        rank += _created_before(firings, sequences,
+                                                m, b, j, index)
+            ranks.append(rank)
+        base = self._sequence
+        self._sequence = base + total
+        for event, times, count, rank in zip(members, firings, counts, ranks):
+            if not count:
+                self.restore(event)
+                continue
+            if rank == total - 1:
+                last_time, last_label = times[count - 1], event.label
+            task = event.task
+            task.skipped(count)
+            event.time = times[count - 1] + task._interval
+            event.sequence = base + rank
+            self.restore(event)
+        return total, last_time, last_label
 
     def peek_time(self):
         """Time of the next live event, or None if the queue is drained."""
@@ -184,25 +296,58 @@ class EventQueue:
         return self.peek_time() is not None
 
 
+def _created_before(firings, sequences, m, b, j, a):
+    """Whether firing ``b`` of skip-window member ``m`` is queued ahead
+    of firing ``a`` of member ``j`` at the same time.
+
+    Firing 0 is the entry already queued, whose sequence predates the
+    window; every later firing's entry was created by the firing before
+    it, so ties recurse to those.
+    """
+    while b and a:
+        b -= 1
+        a -= 1
+        mine, theirs = firings[m][b], firings[j][a]
+        if mine != theirs:
+            return mine < theirs
+    if b or a:
+        return not b
+    return sequences[m] < sequences[j]
+
+
 class PeriodicTask:
     """A callback rescheduled every ``interval`` seconds until stopped.
 
     Models the recurring jobs the paper describes: the C&C server's
     30-minute stolen-file cleanup, a beacon interval, an AV scan sweep.
+
+    A jitter-free task may carry an ``idle()`` predicate: true when a
+    firing now would change nothing but the owner's own firing
+    counter, with ``skipped(n)`` moving that counter as ``n`` firings
+    would.  The predicate may read only state that events change, never
+    the clock.  :meth:`Kernel.run` then advances runs of idle firings
+    without dispatching them (see :meth:`EventQueue.skip_idle`).
     """
 
-    def __init__(self, kernel, interval, callback, label, jitter=0.0):
+    def __init__(self, kernel, interval, callback, label, jitter=0.0,
+                 idle=None, skipped=None):
         if not (math.isfinite(interval) and interval > 0):
             raise ValueError("interval must be a finite number > 0, "
                              "got %r" % (interval,))
         if not (math.isfinite(jitter) and jitter >= 0):
             raise ValueError("jitter must be a finite number >= 0, "
                              "got %r" % (jitter,))
+        if (idle is None) != (skipped is None):
+            raise ValueError("idle and skipped must be given together")
+        if idle is not None and jitter:
+            raise ValueError("an idle predicate needs a jitter-free task")
         self._kernel = kernel
         self._interval = interval
         self._callback = callback
         self._label = label
         self._jitter = jitter
+        self.idle = idle
+        self.skipped = skipped
         self._stopped = False
         self._pending = None
         self._schedule_next()
@@ -223,6 +368,8 @@ class PeriodicTask:
             delay += self._kernel.rng.uniform(-self._jitter, self._jitter)
             delay = max(delay, 1e-9)
         self._pending = self._kernel.call_later(delay, self._fire, self._label)
+        if self.idle is not None:
+            self._pending.task = self
 
     def _fire(self):
         if self._stopped:
@@ -331,9 +478,15 @@ class Kernel:
         """
         return self.call_at(self.clock.to_seconds(moment), callback, label)
 
-    def every(self, interval, callback, label="periodic", jitter=0.0):
-        """Create a :class:`PeriodicTask` firing every ``interval`` seconds."""
-        return PeriodicTask(self, interval, callback, label, jitter=jitter)
+    def every(self, interval, callback, label="periodic", jitter=0.0,
+              idle=None, skipped=None):
+        """Create a :class:`PeriodicTask` firing every ``interval`` seconds.
+
+        ``idle``/``skipped`` let the kernel advance the task's idle
+        firings without dispatching them (see :class:`PeriodicTask`).
+        """
+        return PeriodicTask(self, interval, callback, label, jitter=jitter,
+                            idle=idle, skipped=skipped)
 
     def span(self, name, **attrs):
         """Open a named kill-chain span for the duration of a ``with``
@@ -414,11 +567,21 @@ class Kernel:
         :attr:`dispatched_events` counter are batched — they update
         once per ``run()`` call (including on error exits), which is
         the granularity every consumer in the codebase reads them at.
+
+        A popped firing of an idle periodic task starts a skip window
+        (:meth:`EventQueue.skip_idle`): its idle firings count as
+        dispatched events without a callback, the clock moves to the
+        last of them, and the budget and checkpoint hook see them as if
+        each had been dispatched.
         """
+        if until is not None and not math.isfinite(until):
+            raise ValueError("run() until must be a finite number of "
+                             "seconds, got %r" % (until,))
         dispatched = 0
         flushed = 0
         last_label = None
-        pop_due = self._queue.pop_due
+        queue = self._queue
+        pop_due = queue.pop_due
         advance_to = self.clock.advance_to
         # Hoisted: installing a hook mid-run takes effect on the next
         # run() call, which is the granularity checkpointing works at.
@@ -432,18 +595,30 @@ class Kernel:
                     # Raise *before* dispatching event max_events + 1,
                     # so a budget of N never executes more than N
                     # callbacks; the undispatched event stays queued.
-                    self._queue.restore(event)
+                    queue.restore(event)
                     raise SimulationError(
                         "dispatched %d events without draining; runaway "
                         "simulation (last event label: %r)"
                         % (dispatched, last_label)
                     )
-                advance_to(event.time)
-                event.callback()
-                last_label = event.label
-                dispatched += 1
+                count = 0
+                task = event.task
+                if task is not None and task.idle():
+                    limit = max_events - dispatched
+                    if ckpt_hook is not None:
+                        limit = min(limit, self._ckpt_countdown)
+                    count, time, label = queue.skip_idle(event, until, limit)
+                    if count:
+                        advance_to(time)
+                        last_label = label
+                if not count:
+                    advance_to(event.time)
+                    event.callback()
+                    last_label = event.label
+                    count = 1
+                dispatched += count
                 if ckpt_hook is not None:
-                    self._ckpt_countdown -= 1
+                    self._ckpt_countdown -= count
                     if self._ckpt_countdown <= 0:
                         self._ckpt_countdown = self._ckpt_every
                         # Flush the batched counters so the hook sees
@@ -463,13 +638,14 @@ class Kernel:
     def run_for(self, duration, max_events=DEFAULT_MAX_EVENTS):
         """Run for ``duration`` seconds of virtual time from now.
 
-        A negative or NaN duration is always a caller bug (a miscomputed
-        interval), so it raises rather than silently no-opping.
+        A negative, infinite or NaN duration is always a caller bug (a
+        miscomputed interval), so it raises rather than silently
+        no-opping or moving the clock to infinity.
         """
         duration = float(duration)
-        if math.isnan(duration) or duration < 0:
+        if not (math.isfinite(duration) and duration >= 0):
             raise ValueError(
-                "run_for() duration must be a non-negative number of "
-                "seconds, got %r" % duration
+                "run_for() duration must be a finite non-negative number "
+                "of seconds, got %r" % duration
             )
         return self.run(until=self.clock.now + duration, max_events=max_events)

@@ -105,6 +105,18 @@ def test_drive_clamps_to_max_frequency(kernel):
     assert drive.set_frequency(-5.0) == 0.0
 
 
+def test_drive_rejects_nan_frequency(kernel):
+    """Regression: clamping NaN with min/max silently commanded 0 Hz
+    and logged it as a real command."""
+    cascade = CentrifugeCascade("A", 1)
+    drive = FrequencyConverterDrive("d", FARARO_PAYA, cascade, kernel.clock)
+    drive.set_frequency(1064.0)
+    with pytest.raises(ValueError, match="NaN"):
+        drive.set_frequency(float("nan"))
+    assert drive.frequency == 1064.0
+    assert drive.command_history == [(0.0, 0.0), (0.0, 1064.0)]
+
+
 def test_drive_command_history(kernel):
     cascade = CentrifugeCascade("A", 1)
     drive = FrequencyConverterDrive("d", FARARO_PAYA, cascade, kernel.clock)

@@ -215,3 +215,67 @@ def test_trojanized_library_hides_and_protects(rig):
     # Non-protected blocks pass through untouched.
     trojan.write_block(plc, CodeBlock("FC1", "FC"))
     assert trojan.read_block(plc, "FC1").name == "FC1"
+
+
+# -- idle scans and polls: skipped by the kernel, counted exactly ----------------
+
+def _count_calls(owner, name):
+    """Replace a bound method on ``owner`` with a call-counting one."""
+    calls = []
+    method = getattr(owner, name)
+
+    def counted():
+        calls.append(owner.kernel.now)
+        method()
+
+    setattr(owner, name, counted)
+    return calls
+
+
+def test_idle_day_counts_every_scan_and_poll(kernel, rig):
+    plc = rig["plc"]
+    safety = DigitalSafetySystem(kernel, plc)
+    scans = _count_calls(plc, "_scan")
+    polls = _count_calls(safety, "_poll")
+    plc.power_on()
+    safety.arm()
+    kernel.run_for(86400.0)
+    assert plc.scan_count == 1440
+    assert safety.samples_taken == 2880
+    assert kernel.dispatched_events == 1440 + 2880
+    assert kernel.now == 86400.0
+    # Only the first scan commands the drives; every later scan and
+    # every poll is idle and is advanced without a callback.
+    assert scans == [60.0]
+    assert polls == []
+
+
+def test_out_of_band_command_mid_window_trips_at_the_next_poll(kernel, rig):
+    plc = rig["plc"]
+    safety = DigitalSafetySystem(kernel, plc)
+    plc.power_on()
+    safety.arm()
+    kernel.call_at(10_035.0, lambda: rig["bus"].command_all(1410.0),
+                   "overspeed")
+    kernel.run_for(86400.0)
+    assert safety.tripped
+    assert safety.trip_time == 10_050.0
+    assert safety.samples_taken == 335
+    assert plc.scan_count == 1440
+
+
+def test_ob_without_idle_predicate_makes_every_scan_run(kernel, rig):
+    plc = rig["plc"]
+    runs = []
+    plc.store_block(CodeBlock("OB2", "OB",
+                              logic=lambda p: runs.append(kernel.now)))
+    scans = _count_calls(plc, "_scan")
+    plc.power_on()
+    kernel.run_for(86400.0)
+    assert plc.scan_count == len(scans) == len(runs) == 1440
+
+
+def test_code_block_copy_keeps_idle_predicate(rig):
+    ob1 = rig["plc"].read_block("OB1")
+    assert ob1.idle is not None
+    assert ob1.copy().idle is ob1.idle

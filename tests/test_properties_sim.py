@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import EventQueue, Kernel
+from repro.sim.errors import SimulationError
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,3 +160,103 @@ def test_event_queue_matches_sorted_reference(ops):
         pop(None)
     assert queue.pop_due(None) is None
     assert len(queue) == 0
+
+
+#: Intervals for the idle-skip property: repeats make equal-phase ties
+#: common, and 0.1 / 7.3 accumulate float error when added repeatedly.
+_SKIP_INTERVALS = st.sampled_from([0.1, 0.25, 1.0, 7.3, 30.0, 60.0])
+_SKIP_TIMES = st.sampled_from([0.0, 0.3, 1.0, 5.0, 12.5, 60.0])
+
+_SKIP_CASE = st.fixed_dictionaries({
+    # (interval, start time, firings that do work before going idle)
+    "tasks": st.lists(st.tuples(_SKIP_INTERVALS, _SKIP_TIMES,
+                                st.integers(0, 3)),
+                      min_size=1, max_size=4),
+    # (time, kind, task index): ordinary events that toggle a task's
+    # idleness, record a plain event, or stop a task.
+    "events": st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=400.0, allow_nan=False),
+        st.sampled_from(["toggle", "toggle", "plain", "stop"]),
+        st.integers(0, 3)), max_size=12),
+    "cuts": st.lists(st.floats(min_value=0.0, max_value=400.0,
+                               allow_nan=False), min_size=1, max_size=4),
+    "every_events": st.one_of(st.none(), st.integers(1, 40),
+                              st.integers(40, 3000)),
+    "max_events": st.one_of(st.integers(1, 40), st.integers(40, 20_000)),
+})
+
+
+def _run_skip_case(case, predicates):
+    """Run one case; return everything a skip window must not change."""
+    kernel = Kernel(seed=0)
+    tasks = case["tasks"]
+    work = [firings for _, _, firings in tasks]
+    idle = [firings == 0 for firings in work]
+    counters = [0] * len(tasks)
+    handles = [None] * len(tasks)
+    log = []
+    hooks = []
+
+    def fire(i):
+        counters[i] += 1
+        if not idle[i]:
+            log.append(("fire", i, kernel.now, counters[i]))
+            work[i] -= 1
+            idle[i] = work[i] <= 0
+
+    def skipped(i, count):
+        counters[i] += count
+
+    def start(i, interval):
+        options = {}
+        if predicates:
+            options = {"idle": lambda: idle[i],
+                       "skipped": lambda count: skipped(i, count)}
+        handles[i] = kernel.every(interval, lambda: fire(i),
+                                  "task:%d" % i, **options)
+
+    def ordinary(kind, i):
+        log.append((kind, i, kernel.now))
+        if kind == "toggle":
+            idle[i] = not idle[i]
+        elif kind == "stop" and handles[i] is not None:
+            handles[i].stop()
+
+    def hook(k):
+        hooks.append((k.now, k.dispatched_events, list(counters),
+                      k._queue.snapshot_entries()))
+
+    for i, (interval, begin, _) in enumerate(tasks):
+        kernel.call_at(begin, lambda i=i, dt=interval: start(i, dt),
+                       "start:%d" % i)
+    for when, kind, i in case["events"]:
+        kernel.call_at(when, lambda k=kind, i=i % len(tasks): ordinary(k, i),
+                       kind)
+    if case["every_events"] is not None:
+        kernel.set_checkpoint_hook(hook, case["every_events"])
+    error = None
+    observed = []
+    for cut in sorted(case["cuts"]):
+        try:
+            kernel.run(until=cut, max_events=case["max_events"])
+        except SimulationError as exc:
+            error = str(exc)
+            break
+        finally:
+            observed.append((kernel.now, kernel.dispatched_events,
+                             kernel.metrics.value("sim.events_dispatched"),
+                             list(counters),
+                             kernel._queue.snapshot_entries()))
+    return {"log": log, "hooks": hooks, "observed": observed,
+            "error": error}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_SKIP_CASE)
+def test_idle_skip_matches_dispatching_every_firing(case):
+    """Skipping idle periodic firings is invisible: callbacks that do
+    work run in the same order at the same times, and counters, the
+    clock at every hook call and cut, the heap (times, sequences,
+    cancelled entries), and any runaway error are those of a run that
+    dispatches every firing."""
+    assert _run_skip_case(case, True) == _run_skip_case(case, False)

@@ -159,6 +159,23 @@ def test_run_for_rejects_nan_duration():
         kernel.run_for(float("nan"))
 
 
+def test_run_for_and_run_reject_infinite_bounds():
+    """Regression: ``run_for(inf)`` on a drained kernel set the clock to
+    infinity, after which ``now_dt`` overflowed and ``call_later``
+    scheduled at infinity."""
+    kernel = Kernel()
+    for bad in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            kernel.run_for(bad)
+        with pytest.raises(ValueError, match="finite"):
+            kernel.run(until=bad)
+    with pytest.raises(ValueError, match="finite"):
+        kernel.run(until=float("nan"))
+    assert kernel.now == 0.0
+    assert kernel.now_dt == kernel.clock.epoch
+    assert kernel.call_later(1.0, lambda: None).time == 1.0
+
+
 def test_run_for_zero_dispatches_only_events_due_now():
     kernel = Kernel()
     fired = []

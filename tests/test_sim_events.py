@@ -97,6 +97,13 @@ def test_periodic_rejects_nonpositive_interval(kernel):
     for jitter in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="jitter"):
             kernel.every(5.0, lambda: None, jitter=jitter)
+    # A skipped firing must land where call_later would put it, so an
+    # idle predicate needs a fixed interval and a counter to move.
+    with pytest.raises(ValueError, match="jitter-free"):
+        kernel.every(5.0, lambda: None, jitter=1.0, idle=lambda: True,
+                     skipped=lambda n: None)
+    with pytest.raises(ValueError, match="together"):
+        kernel.every(5.0, lambda: None, idle=lambda: True)
     assert kernel.pending_events == 0
 
 
