@@ -6,8 +6,11 @@ from the surviving manifest, and diffs the resumed result against an
 uninterrupted baseline — trace digests, per-measurement aggregates,
 and merged metrics must all be byte-identical.  It also records an
 interrupted single-campaign run and replay-verifies its checkpoint
-chain.  The checkpoint directories are left in place for CI to upload
-as artifacts.
+chain: the resumed result, export digest, and metrics must equal the
+uninterrupted run's, and resuming the now-finished chain once more must
+short-circuit to the same result and metrics without a replay.  Replay
+is the only resume protocol, so this is its gate.  The checkpoint
+directories are left in place for CI to upload as artifacts.
 
 Usage::
 
@@ -22,6 +25,7 @@ from repro import CampaignSpec, SweepConfig, run_sweep
 from repro.core.ensemble import CAMPAIGNS, QUICK_PARAMS
 from repro.core.resume import interrupt_after, resume_checkpointed, \
     run_checkpointed
+from repro.obs.export import export_digest
 
 BASE_SEED = 20130708
 REPLICAS = 6
@@ -72,6 +76,17 @@ def check_campaign(campaign, directory):
     if report.verified != max(1, recorded // 2):
         failures.append("resume verified %d checkpoints, expected %d"
                         % (report.verified, max(1, recorded // 2)))
+    if export_digest(report.kernel) != export_digest(baseline.kernel):
+        failures.append("export digest differs after resume")
+    if canonical(report.metrics) != canonical(baseline.metrics):
+        failures.append("metrics differ after resume")
+    finished = resume_checkpointed(factory, directory, meta=meta)
+    if not finished.short_circuited:
+        failures.append("finished run was replayed, not short-circuited")
+    if canonical(finished.result) != canonical(baseline.result):
+        failures.append("short-circuited result differs")
+    if canonical(finished.metrics) != canonical(baseline.metrics):
+        failures.append("short-circuited metrics differ")
     return failures
 
 

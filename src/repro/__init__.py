@@ -53,7 +53,6 @@ from repro.sim import (
     CheckpointError,
     Kernel,
     SweepConfig,
-    restore_kernel,
     run_sweep,
     snapshot_kernel,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "export_digest",
     "merge_snapshots",
     "prometheus_text",
-    "restore_kernel",
     "resume_checkpointed",
     "run_checkpointed",
     "run_sweep",

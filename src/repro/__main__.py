@@ -55,17 +55,17 @@ def _print_result(result, as_json):
         print("  %-*s  %s" % (width, key, result[key]))
 
 
-def _emit_campaign(args, header, result, kernel):
-    """Shared tail of the single-campaign subcommands."""
-    metrics = kernel.metrics.snapshot() if args.metrics else None
+def _emit_campaign(args, header, result, metrics):
+    """Shared tail of the single-campaign subcommands; ``metrics`` is
+    the run's final metrics snapshot, printed only under ``--metrics``."""
     if args.json:
-        payload = (result if metrics is None
-                   else {"result": result, "metrics": metrics})
+        payload = ({"result": result, "metrics": metrics} if args.metrics
+                   else result)
         print(json.dumps(payload, indent=2, default=str))
         return
     print(header)
     _print_result(result, False)
-    if metrics is not None:
+    if args.metrics:
         print(prometheus_text(metrics), end="")
 
 
@@ -86,7 +86,7 @@ def _run_single(args, header, meta, factory, run=None):
     if args.checkpoint_dir is None:
         campaign = factory()
         result = (run or (lambda c: c.run()))(campaign)
-        kernel = campaign.world.kernel
+        metrics = campaign.world.kernel.metrics.snapshot()
     else:
         from repro.core.resume import resume_checkpointed, run_checkpointed
 
@@ -98,14 +98,14 @@ def _run_single(args, header, meta, factory, run=None):
                                       meta=meta, run=run,
                                       every_events=args.checkpoint_every)
         result = report.result
-        kernel = report.kernel
+        metrics = report.metrics
         if args.resume and not args.json:
             print("resume: verified %d checkpoint%s%s"
                   % (report.verified,
                      "" if report.verified == 1 else "s",
                      " (finished run, no replay needed)"
                      if report.short_circuited else ""))
-    _emit_campaign(args, header, result, kernel)
+    _emit_campaign(args, header, result, metrics)
 
 
 def _cmd_stuxnet(args):

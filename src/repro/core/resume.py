@@ -44,7 +44,6 @@ from repro.sim.checkpoint import (
     make_envelope,
     read_checkpoint,
     snapshot_kernel,
-    restore_kernel,
     write_checkpoint,
 )
 from repro.sim.errors import CheckpointError
@@ -256,14 +255,20 @@ class CampaignCheckpointer:
 
 
 class ResumeReport:
-    """What a resume (or checkpointed run) produced and verified."""
+    """What a resume (or checkpointed run) produced and verified.
 
-    __slots__ = ("result", "kernel", "campaign", "store", "verified",
-                 "replayed_events", "short_circuited")
+    ``metrics`` is the run's final metrics snapshot.  ``kernel`` and
+    ``campaign`` are the live objects of a run that executed, and None
+    when a finished run short-circuited.
+    """
 
-    def __init__(self, result, kernel, campaign, store, verified=0,
+    __slots__ = ("result", "metrics", "kernel", "campaign", "store",
+                 "verified", "replayed_events", "short_circuited")
+
+    def __init__(self, result, metrics, kernel, campaign, store, verified=0,
                  replayed_events=0, short_circuited=False):
         self.result = result
+        self.metrics = metrics
         self.kernel = kernel
         self.campaign = campaign
         self.store = store
@@ -301,19 +306,20 @@ def run_checkpointed(factory, directory, meta=None, run=None,
                                         every_events=every_events)
     try:
         result = (run or (lambda c: c.run()))(campaign)
-        checkpointer.finalize(result)
+        final = checkpointer.finalize(result)
     finally:
         checkpointer.detach()
-    return ResumeReport(result=result, kernel=campaign.world.kernel,
-                        campaign=campaign, store=checkpointer.store)
+    return ResumeReport(result=result, metrics=final["state"]["metrics"],
+                        kernel=campaign.world.kernel, campaign=campaign,
+                        store=checkpointer.store)
 
 
 def resume_checkpointed(factory, directory, meta=None, run=None):
     """Resume an interrupted checkpointed run from ``directory``.
 
     * A finished run (final checkpoint present) short-circuits: the
-      result comes from the checkpoint meta and the kernel is restored
-      from the snapshot — no re-execution at all.
+      result and metrics come from the final checkpoint, and no kernel
+      is built at all.
     * An interrupted run replays: the campaign is rebuilt from the
       deterministic ``factory`` and re-run with the same checkpoint
       policy, and every checkpoint the interrupted run managed to
@@ -341,9 +347,9 @@ def resume_checkpointed(factory, directory, meta=None, run=None):
     final = store.final_entry()
     if final is not None:
         envelope = store.read(final)
-        kernel = restore_kernel(envelope)
         return ResumeReport(result=envelope["meta"].get("result"),
-                            kernel=kernel, campaign=None, store=store,
+                            metrics=envelope["state"]["metrics"],
+                            kernel=None, campaign=None, store=store,
                             verified=len(prior),
                             replayed_events=final["events"],
                             short_circuited=True)
@@ -363,8 +369,9 @@ def resume_checkpointed(factory, directory, meta=None, run=None):
                     "checkpoint %d (%r): recorded %s=%r, replay produced "
                     "%s=%r" % (index + 1, old["tag"], key, old[key], key,
                                new[key]))
-    return ResumeReport(result=replay.result, kernel=replay.kernel,
-                        campaign=replay.campaign, store=replay.store,
+    return ResumeReport(result=replay.result, metrics=replay.metrics,
+                        kernel=replay.kernel, campaign=replay.campaign,
+                        store=replay.store,
                         verified=len(prior),
                         replayed_events=(prior[-1]["events"] if prior
                                          else 0))

@@ -40,8 +40,7 @@ All draws come from one dedicated ``fork("epidemic:<label>")`` stream,
 so the model never perturbs (and is never perturbed by) any other
 randomness in the kernel.  The model registers itself as a kernel state
 provider: checkpoints snapshot the pool arrays, the model RNG, and the
-per-epoch infection curve, and the iteration orders above are
-reconstructed from the arrays alone on restore.
+per-epoch infection curve, so every state digest covers the epidemic.
 """
 
 from repro.epidemic.pool import (
@@ -271,11 +270,6 @@ class EpidemicModel:
         """Virtual seconds from seeding to the final epoch's step."""
         return self._epochs * self._epoch_seconds
 
-    def checkpoint_callbacks(self):
-        """Label->factory registry for ``restore_kernel(callbacks=...)``,
-        rebinding a restored pending step event to this model."""
-        return {self.event_label: lambda label: self._on_step}
-
     def _on_step(self):
         self._epoch += 1
         with self._kernel.span("epidemic.epoch", label=self._label,
@@ -411,36 +405,6 @@ class EpidemicModel:
             "curve": [dict(point) for point in self._curve],
             "pool": self.pool.snapshot_state(),
         }
-
-    def load_state(self, state):
-        from repro.sim.errors import CheckpointError
-
-        try:
-            label = state["label"]
-            epoch = int(state["epoch"])
-            epochs = int(state["epochs"])
-            epoch_seconds = float(state["epoch_seconds"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                "malformed epidemic model state: %s: %s"
-                % (type(exc).__name__, exc)) from exc
-        if label != self._label:
-            raise CheckpointError(
-                "epidemic label mismatch: snapshot is %r, model is %r"
-                % (label, self._label))
-        if epochs != self._epochs or epoch_seconds != self._epoch_seconds:
-            raise CheckpointError(
-                "epidemic schedule mismatch: snapshot ran %d epochs of "
-                "%gs, model was built for %d epochs of %gs"
-                % (epochs, epoch_seconds, self._epochs,
-                   self._epoch_seconds))
-        self.pool.load_state(state["pool"])
-        self._rng.setstate(state["rng"])
-        self._epoch = epoch
-        self._seeded = bool(state["seeded"])
-        self._started = bool(state["started"])
-        self._curve = [dict(point) for point in state["curve"]]
-        self.resync_from_pool()
 
     def resync_from_pool(self):
         """Rebuild the iteration orders from the pool arrays.

@@ -87,43 +87,6 @@ def _encode_array(values):
     }
 
 
-def _decode_array(payload, expected_typecode, expected_length):
-    """Rebuild one pool array from :func:`_encode_array` output."""
-    from repro.sim.errors import CheckpointError
-
-    try:
-        typecode = payload["typecode"]
-        itemsize = int(payload["itemsize"])
-        data = base64.b64decode(payload["data"].encode("ascii"),
-                                validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            "malformed pool array payload: %s: %s"
-            % (type(exc).__name__, exc)) from exc
-    if typecode != expected_typecode:
-        raise CheckpointError(
-            "pool array typecode mismatch: snapshot has %r, this build "
-            "uses %r" % (typecode, expected_typecode))
-    values = array(expected_typecode)
-    if values.itemsize != itemsize:
-        raise CheckpointError(
-            "pool array itemsize mismatch for typecode %r: snapshot "
-            "recorded %d, this platform uses %d"
-            % (typecode, itemsize, values.itemsize))
-    try:
-        values.frombytes(data)
-    except ValueError as exc:
-        raise CheckpointError(
-            "truncated pool array payload: %s" % exc) from exc
-    if len(values) != expected_length:
-        raise CheckpointError(
-            "pool array length mismatch: snapshot holds %d entries, "
-            "pool expects %d" % (len(values), expected_length))
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values
-
-
 class HostPool:
     """The aggregate-fidelity population: parallel arrays, no objects.
 
@@ -293,7 +256,7 @@ class HostPool:
     # -- checkpointing --------------------------------------------------------
 
     def snapshot_state(self):
-        """JSON-safe snapshot: arrays as base64, counters for checking.
+        """JSON-safe snapshot: arrays as base64, plus the counters.
 
         Pure observation — reads every array, mutates nothing, consumes
         no randomness.
@@ -311,64 +274,6 @@ class HostPool:
                 "vector": _encode_array(self._vector),
             },
         }
-
-    def load_state(self, state):
-        """Restore a snapshot; derived counters are recomputed from the
-        arrays and cross-checked against the recorded ones, so a
-        tampered or miscounted snapshot fails loudly."""
-        from repro.sim.errors import CheckpointError
-
-        try:
-            count = int(state["count"])
-            region_names = tuple(state["region_names"])
-            arrays = state["arrays"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                "malformed pool snapshot: %s: %s"
-                % (type(exc).__name__, exc)) from exc
-        if count != self.count:
-            raise CheckpointError(
-                "pool size mismatch: snapshot holds %d hosts, pool was "
-                "built with %d" % (count, self.count))
-        if region_names != self.region_names:
-            raise CheckpointError(
-                "pool region mismatch: snapshot has %r, pool was built "
-                "with %r" % (region_names, self.region_names))
-        self._state = _decode_array(arrays["state"], "b", count)
-        self._region = _decode_array(arrays["region"], "h", count)
-        self._exposed_epoch = _decode_array(arrays["exposed_epoch"], "i",
-                                            count)
-        self._vector = _decode_array(arrays["vector"], "b", count)
-        counts = [0, 0, 0, 0]
-        infectious_by_region = [0] * len(self.region_names)
-        region_counts = [0] * len(self.region_names)
-        vector_counts = {}
-        for index, code in enumerate(self._state):
-            if not 0 <= code <= RECOVERED:
-                raise CheckpointError(
-                    "pool snapshot holds invalid state code %r at host %d"
-                    % (code, index))
-            counts[code] += 1
-            region = self._region[index]
-            if not 0 <= region < len(self.region_names):
-                raise CheckpointError(
-                    "pool snapshot holds invalid region code %r at host %d"
-                    % (region, index))
-            region_counts[region] += 1
-            if code == INFECTIOUS:
-                infectious_by_region[region] += 1
-            vector = self._vector[index]
-            if code != SUSCEPTIBLE:
-                name = VECTORS[vector]
-                vector_counts[name] = vector_counts.get(name, 0) + 1
-        if counts != list(state.get("counts", counts)):
-            raise CheckpointError(
-                "pool snapshot counters disagree with its arrays: "
-                "recorded %r, recomputed %r" % (state["counts"], counts))
-        self.counts = counts
-        self.region_counts = region_counts
-        self.infectious_by_region = infectious_by_region
-        self.vector_counts = dict(sorted(vector_counts.items()))
 
     def __len__(self):
         return self.count

@@ -112,8 +112,7 @@ class EpidemicCampaign:
         self.initial_infections = initial_infections
         self.promote_samples = promote_samples
         #: Built (and registered as a kernel state provider) at
-        #: construction, so checkpoints restored onto a fresh campaign
-        #: find the provider waiting.
+        #: construction, so every checkpoint of the run carries it.
         self.model = EpidemicModel(
             self.world.kernel, profile, host_count, epochs,
             epoch_seconds=epoch_days * SECONDS_PER_DAY)
@@ -126,10 +125,6 @@ class EpidemicCampaign:
     def fault_epoch(self):
         """Virtual time at which the campaign's action begins."""
         return 0.0
-
-    def checkpoint_callbacks(self):
-        """Callback registry for restoring mid-spread checkpoints."""
-        return self.model.checkpoint_callbacks()
 
     def run(self):
         kernel = self.world.kernel

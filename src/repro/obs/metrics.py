@@ -42,9 +42,10 @@ class Counter:
         self.value = 0
 
     def inc(self, amount=1):
-        if amount < 0:
-            raise ValueError("counter %r cannot decrease (inc by %r)"
-                             % (self.name, amount))
+        # Written so NaN fails too: it compares False against anything.
+        if not amount >= 0:
+            raise ValueError("counter %r takes a non-negative amount, "
+                             "got %r" % (self.name, amount))
         self.value += amount
         return self.value
 

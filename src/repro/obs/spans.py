@@ -160,8 +160,7 @@ class SpanRecorder:
         """Primitive rendering of every span plus the open-span stack.
 
         Attrs pass through :func:`repro.obs.export.jsonable` so the
-        payload is canonically JSON-serialisable and idempotent under a
-        snapshot/load/snapshot round trip.
+        payload is canonically JSON-serialisable.
         """
         from repro.obs.export import jsonable
 
@@ -175,38 +174,6 @@ class SpanRecorder:
             "stack": [span.span_id for span in self._stack],
             "spans": spans,
         }
-
-    def load_state(self, state):
-        """Replace the recorder's contents with a checkpointed snapshot.
-
-        Rebuilding goes through plain :class:`Span` construction, not
-        :meth:`begin`/:meth:`finish` — restoring state is not an event,
-        so finish listeners never fire for replayed spans.
-        """
-        from repro.sim.errors import CheckpointError
-
-        try:
-            spans = []
-            by_id = {}
-            for entry in state["spans"]:
-                span = Span(entry["span_id"], entry["name"], entry["start"],
-                            parent_id=entry["parent_id"],
-                            attrs=entry["attrs"])
-                span.end = entry["end"]
-                span.status = entry["status"]
-                spans.append(span)
-                by_id[span.span_id] = span
-            stack = [by_id[span_id] for span_id in state["stack"]]
-            next_id = int(state["next_id"])
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                "malformed span state: %s: %s"
-                % (type(exc).__name__, exc)) from exc
-        self._spans = spans
-        self._stack = stack
-        self._next_id = next_id
 
     # -- introspection --------------------------------------------------------
 

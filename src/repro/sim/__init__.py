@@ -12,7 +12,6 @@ stable event sequences.
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     read_checkpoint,
-    restore_kernel,
     snapshot_kernel,
     state_digest,
     write_checkpoint,
@@ -82,7 +81,6 @@ __all__ = [
     "deterministic_backoff",
     "lan_scope",
     "read_checkpoint",
-    "restore_kernel",
     "run_sweep",
     "shard_indices",
     "shared_pool",

@@ -19,22 +19,19 @@ Two digests live in the envelope:
   crashing deep in deserialization.
 
 What is *not* captured: event callbacks.  They are arbitrary Python
-closures, so a restored queue holds each pending event's time,
-sequence, and label with the callback left unbound — dispatching an
-unbound event raises ``CheckpointError``.  Drivers that want to
-*continue* a restored kernel pass ``callbacks`` (a label-pattern →
-callable registry) to :func:`restore_kernel`; the campaign resume path
-in :mod:`repro.core.resume` sidesteps rebinding entirely by replaying
-the deterministic run from zero and using the recorded ``state_digest``
-chain as its bit-identical correctness oracle.
+closures, so the queue snapshot holds each pending event's time,
+sequence, label, and cancelled flag, and nothing more.  A checkpoint is
+therefore written and verified, never loaded back into a kernel.
+Resume is replay: :mod:`repro.core.resume` re-runs the deterministic
+campaign from zero and demands that it reproduce the recorded
+``state_digest`` chain bit for bit; a finished run's final checkpoint
+supplies its result and metrics without any replay.
 """
 
 import hashlib
 import json
 import os
-from datetime import datetime
 
-from repro.sim.clock import SimClock
 from repro.sim.errors import (
     CheckpointDigestError,
     CheckpointError,
@@ -66,8 +63,18 @@ def canonical_json(value):
 
 
 def payload_digest(payload):
-    """SHA-256 hex digest of a payload's canonical JSON."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of a payload's canonical JSON.
+
+    A payload with no canonical form (a NaN or infinity anywhere in it)
+    raises :class:`CheckpointError`, not the encoder's bare
+    ``ValueError``.
+    """
+    try:
+        text = canonical_json(payload)
+    except ValueError as exc:
+        raise CheckpointError(
+            "payload has no canonical JSON form: %s" % exc) from exc
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def make_envelope(kind, payload, meta=None):
@@ -167,7 +174,7 @@ def read_checkpoint(path, kind=None):
     return verify_envelope(envelope, kind=kind, path=path)
 
 
-# -- kernel snapshot / restore -------------------------------------------------
+# -- kernel snapshots ----------------------------------------------------------
 
 def kernel_state(kernel):
     """The raw state payload for one kernel (no envelope, no digests).
@@ -192,10 +199,6 @@ def kernel_state(kernel):
     }
     extensions = {name: provider.snapshot_state()
                   for name, provider in kernel._state_providers.items()}
-    for name, payload in kernel._pending_extension_state.items():
-        # Restored-but-unclaimed state passes through, so re-snapshotting
-        # a restored kernel never silently drops an extension.
-        extensions.setdefault(name, payload)
     if extensions:
         state["extensions"] = extensions
     return state
@@ -217,154 +220,3 @@ def snapshot_kernel(kernel, meta=None):
 def state_digest(kernel):
     """The state digest a checkpoint of ``kernel`` would record now."""
     return payload_digest(kernel_state(kernel))
-
-
-def _unbound_callback(label):
-    """Placeholder for a restored event whose callback was not re-bound."""
-
-    def _raise():
-        raise CheckpointError(
-            "event %r was restored from a checkpoint without a callback "
-            "binding; pass callbacks={...} to restore_kernel() (or use "
-            "the replay-based resume in repro.core.resume)" % label)
-
-    return _raise
-
-
-def _make_resolver(callbacks):
-    """Turn a label→callable mapping into the queue's resolve function.
-
-    Keys match an event label exactly, or by prefix with a trailing
-    ``*`` (the :meth:`TraceLog.query` convention); unmatched labels get
-    a placeholder that raises :class:`CheckpointError` if dispatched.
-    """
-    callbacks = dict(callbacks or {})
-    exact = {key: fn for key, fn in callbacks.items()
-             if not key.endswith("*")}
-    prefixes = sorted(((key[:-1], fn) for key, fn in callbacks.items()
-                       if key.endswith("*")),
-                      key=lambda item: -len(item[0]))
-
-    def resolve(label):
-        factory = exact.get(label)
-        if factory is None:
-            for prefix, fn in prefixes:
-                if label.startswith(prefix):
-                    factory = fn
-                    break
-        if factory is None:
-            return _unbound_callback(label)
-        return factory(label)
-
-    return resolve
-
-
-def restore_kernel(envelope, kernel=None, callbacks=None):
-    """Rehydrate a kernel from a checkpoint envelope.
-
-    With ``kernel=None`` a fresh kernel is built on the checkpointed
-    epoch; otherwise the supplied kernel (which must share that epoch
-    and not have advanced past the checkpoint) is overwritten in place.
-    Everything that is pure data — clock, RNG streams, counters, trace,
-    spans, metrics, fault schedule — restores exactly; pending events
-    restore with callbacks resolved through ``callbacks`` (see
-    :func:`_make_resolver`), unbound by default.
-
-    ``callbacks`` values are factories: ``factory(label)`` returns the
-    callable to dispatch for that label.
-    """
-    verify_envelope(envelope, kind=KIND_KERNEL)
-    state = envelope["state"]
-    try:
-        epoch = datetime.fromisoformat(state["clock"]["epoch"])
-        now = float(state["clock"]["now"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            "malformed clock state: %s: %s"
-            % (type(exc).__name__, exc)) from exc
-    from repro.sim.events import Kernel
-
-    if kernel is None:
-        kernel = Kernel(seed=0, epoch=epoch)
-    else:
-        if kernel.clock.epoch != SimClock(epoch).epoch:
-            raise CheckpointError(
-                "cannot restore onto a kernel with epoch %s; checkpoint "
-                "was taken on epoch %s"
-                % (kernel.clock.epoch.isoformat(), epoch.isoformat()))
-        if kernel.clock.now > now:
-            raise CheckpointError(
-                "cannot restore to t=%.6f on a kernel already at t=%.6f "
-                "(the virtual clock never moves backwards)"
-                % (now, kernel.clock.now))
-    kernel.clock.advance_to(now)
-    kernel.rng.setstate(state["rng"])
-    kernel._dispatched = int(state["dispatched"])
-    try:
-        kernel._queue.load_entries(state["queue"],
-                                   _make_resolver(callbacks))
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointError(
-            "malformed queue state: %s: %s"
-            % (type(exc).__name__, exc)) from exc
-    kernel.trace.load_state(state["trace"])
-    kernel.spans.load_state(state["spans"])
-    _restore_metrics(kernel.metrics, state["metrics"])
-    kernel.faults.load_state(state["faults"])
-    pending = {}
-    for name in sorted(state.get("extensions", {})):
-        payload = state["extensions"][name]
-        provider = kernel._state_providers.get(name)
-        if provider is not None:
-            try:
-                provider.load_state(payload)
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    "malformed extension state for %r: %s: %s"
-                    % (name, type(exc).__name__, exc)) from exc
-        else:
-            # No provider yet: hold the payload for a later
-            # register_state_provider() call (the resume short-circuit
-            # restores onto a bare kernel before components exist).
-            pending[name] = payload
-    kernel._pending_extension_state = pending
-    return kernel
-
-
-def _restore_metrics(registry, snapshot):
-    """Overwrite a registry's contents with a checkpointed snapshot.
-
-    Existing metric objects are updated in place (the kernel holds a
-    direct reference to its ``sim.events_dispatched`` counter, which
-    must keep its identity); metrics absent from the snapshot are
-    dropped.
-    """
-    try:
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            metric_type = entry["type"]
-            if metric_type == "counter":
-                registry.counter(name).value = entry["value"]
-            elif metric_type == "gauge":
-                registry.gauge(name).value = entry["value"]
-            elif metric_type == "histogram":
-                histogram = registry.histogram(name, entry["bounds"])
-                histogram.counts = list(entry["counts"])
-                histogram.sum = entry["sum"]
-                histogram.count = entry["count"]
-            else:
-                raise CheckpointError(
-                    "unknown metric type %r for %r" % (metric_type, name))
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointError(
-            "malformed metrics state: %s: %s"
-            % (type(exc).__name__, exc)) from exc
-    for name in list(registry._metrics):
-        if name not in snapshot:
-            del registry._metrics[name]

@@ -59,7 +59,7 @@ class PoisonReplicaError(SupervisionError):
 
 
 class CheckpointError(SimulationError):
-    """A checkpoint could not be written, read, restored, or verified.
+    """A checkpoint could not be written, read, or verified.
 
     Every failure mode of the snapshot/resume layer surfaces as this
     type (or a subclass below) at the file boundary, so callers never

@@ -236,10 +236,9 @@ class EventQueue:
         Entries are emitted in canonical ``(time, sequence)`` order —
         not raw heap-array order — so equivalent queues snapshot
         identically; cancelled entries that have not yet surfaced (or
-        been compacted away) are included with their flag, keeping the
-        restored queue's compaction accounting exact.  Callbacks are
-        not serialisable: only the label travels, and
-        :meth:`load_entries` re-binds labels to callables.
+        been compacted away) are included with their flag, so the
+        snapshot pins the compaction accounting too.  Callbacks are
+        not serialisable: only the label travels.
         """
         return {
             "sequence": self._sequence,
@@ -249,31 +248,6 @@ class EventQueue:
                 for time, sequence, event in sorted(self._heap)
             ],
         }
-
-    def load_entries(self, state, resolve):
-        """Rebuild the heap from :meth:`snapshot_entries` output.
-
-        ``resolve(label)`` supplies the callback for each live entry
-        (checkpoint restore passes a registry, or a placeholder that
-        raises if an unbound event is ever dispatched).  A sorted entry
-        list is already heap-ordered, but ``heapify`` is cheap and
-        keeps this correct for any entry order.
-        """
-        heap = []
-        live = 0
-        for entry in state["entries"]:
-            event = Event(entry["time"], entry["sequence"],
-                          resolve(entry["label"]), entry["label"])
-            if entry["cancelled"]:
-                event.cancelled = True
-            else:
-                event._queue = self
-                live += 1
-            heap.append((event.time, event.sequence, event))
-        heapify(heap)
-        self._heap = heap
-        self._sequence = state["sequence"]
-        self._live = live
 
     def _note_cancelled(self):
         """Bookkeeping from :meth:`Event.cancel`: maybe compact.
@@ -414,9 +388,6 @@ class Kernel:
         #: Named components whose state travels inside kernel
         #: checkpoints (see :meth:`register_state_provider`).
         self._state_providers = {}
-        #: Extension payloads restored from a checkpoint before their
-        #: provider was registered; delivered on registration.
-        self._pending_extension_state = {}
 
     @property
     def now(self):
@@ -502,14 +473,11 @@ class Kernel:
         """Attach a named component whose state rides in checkpoints.
 
         ``provider`` must expose ``snapshot_state()`` (a JSON-safe
-        payload, captured without perturbing the run) and
-        ``load_state(payload)``.  Snapshots taken by
-        :func:`repro.sim.checkpoint.kernel_state` gain an
+        payload, captured without perturbing the run).  Snapshots taken
+        by :func:`repro.sim.checkpoint.kernel_state` gain an
         ``extensions`` section mapping each registered name to its
-        provider's payload; restoring a checkpoint feeds the matching
-        providers — and stashes payloads whose provider is not yet
-        registered, delivering them the moment it is (a restored
-        kernel's components are often built after the restore).
+        provider's payload, so the provider's state is part of every
+        state digest the replay resume verifies.
 
         Returns the provider for chaining.
         """
@@ -520,9 +488,6 @@ class Kernel:
             raise SimulationError(
                 "state provider %r is already registered" % name)
         self._state_providers[name] = provider
-        pending = self._pending_extension_state.pop(name, None)
-        if pending is not None:
-            provider.load_state(pending)
         return provider
 
     @property

@@ -188,10 +188,9 @@ class FaultInjector:
     def snapshot_state(self):
         """Primitive rendering of the schedule, stats, and RNG stream.
 
-        ``fired`` counts travel with each window so a restored injector
-        keeps attributing hits to the right windows, and the forked RNG
-        state guarantees the post-resume packet-loss dice match the
-        uninterrupted run draw for draw.
+        ``fired`` counts travel with each window and the forked RNG
+        state with the schedule, so a replay whose packet-loss dice or
+        hit attribution drift fails its state digest check.
         """
         return {
             "windows": [
@@ -202,29 +201,6 @@ class FaultInjector:
             "stats": dict(self.stats),
             "rng": self.rng.getstate(),
         }
-
-    def load_state(self, state):
-        """Replace schedule, stats, and RNG with a checkpointed snapshot."""
-        from repro.sim.errors import CheckpointError
-
-        try:
-            windows = []
-            for entry in state["windows"]:
-                window = FaultWindow(entry["kind"], entry["target"],
-                                     entry["start"], entry["end"],
-                                     entry["param"])
-                window.fired = entry["fired"]
-                windows.append(window)
-            stats = dict(state["stats"])
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                "malformed fault-injector state: %s: %s"
-                % (type(exc).__name__, exc)) from exc
-        self.rng.setstate(state["rng"])
-        self._windows = windows
-        self.stats = stats
 
     # -- introspection --------------------------------------------------------
 

@@ -75,8 +75,9 @@ class DeterministicRandom:
         """JSON-safe snapshot of the stream: seed plus generator state.
 
         The seed travels with the Mersenne state because :meth:`fork`
-        derives child seeds from it — restoring only the generator
-        state would silently change every stream forked after a resume.
+        derives child seeds from it: two streams with equal generator
+        state but different seeds fork differently, so a state digest
+        must tell them apart.
         """
         if isinstance(self._seed, bool) or \
                 not isinstance(self._seed, (int, str)):
@@ -93,29 +94,3 @@ class DeterministicRandom:
             "internal": list(internal),
             "gauss_next": gauss_next,
         }
-
-    def setstate(self, state):
-        """Restore a stream captured by :meth:`getstate`.
-
-        Accepts the JSON round-tripped form (inner state as a list);
-        a malformed mapping raises ``CheckpointError`` rather than
-        whatever ``random.setstate`` would throw.
-        """
-        from repro.sim.errors import CheckpointError
-
-        try:
-            seed = state["seed"]
-            if state["seed_kind"] == "int":
-                seed = int(seed)
-            elif state["seed_kind"] != "str":
-                raise KeyError("seed_kind")
-            internal = tuple(state["internal"])
-            self._random.setstate((state["version"], internal,
-                                   state["gauss_next"]))
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                "malformed RNG state: %s: %s"
-                % (type(exc).__name__, exc)) from exc
-        self._seed = seed

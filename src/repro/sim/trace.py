@@ -71,9 +71,7 @@ class TraceLog:
         """Primitive-only rendering of the full log for a checkpoint.
 
         Record details pass through :func:`repro.obs.export.jsonable`,
-        which is idempotent — so a log restored from a snapshot
-        snapshots back to the identical payload, and its JSONL export
-        digest matches the original's.
+        so the payload is canonically JSON-serialisable.
         """
         from repro.obs.export import jsonable
 
@@ -86,22 +84,6 @@ class TraceLog:
                 for record in self._records
             ],
         }
-
-    def load_state(self, state):
-        """Replace this log's contents with a checkpointed snapshot."""
-        from repro.sim.errors import CheckpointError
-
-        try:
-            records = [
-                TraceRecord(entry["time"], entry["actor"], entry["action"],
-                            entry["target"], entry["detail"])
-                for entry in state["records"]
-            ]
-        except Exception as exc:
-            raise CheckpointError(
-                "malformed trace state: %s: %s"
-                % (type(exc).__name__, exc)) from exc
-        self._records = records
 
     # -- container protocol ------------------------------------------------------
 

@@ -2,26 +2,28 @@
 
 Three layers of evidence that a checkpoint is a faithful cut of a run:
 
-1. **Round-trip identity** — ``snapshot(load(s)) == s`` byte for byte,
-   on hand-built busy kernels and on Hypothesis-generated ones.
-2. **Continuation equivalence** — a kernel restored mid-run and driven
-   to completion reaches the exact state (digest, trace, RNG stream)
-   of the run that was never interrupted, including when the cut point
-   is a budget abort that used :meth:`EventQueue.restore`.
-3. **Campaign conformance** — all three paper campaigns checkpoint at
-   every kill-chain stage boundary; each recorded snapshot restores to
-   its recorded state digest, and an interrupted run resumes through
-   the replay-verification protocol in :mod:`repro.core.resume`.
+1. **Pure, complete snapshots** — taking a snapshot perturbs nothing,
+   and an envelope read back from its JSON form carries the same
+   canonical state and digests, on hand-built busy kernels and on
+   Hypothesis-generated ones.
+2. **Cut-and-continue equivalence** — a run cut by a budget abort
+   (which puts the popped event back via :meth:`EventQueue.restore`),
+   snapshotted, and continued on the same kernel reaches the exact
+   state digest of the run that was never interrupted.
+3. **Campaign conformance** — every campaign checkpoints at every
+   kill-chain stage boundary; each recorded envelope carries the state
+   digest and event count its manifest entry names, and an interrupted
+   run resumes through the replay-verification protocol in
+   :mod:`repro.core.resume`.
 
-The self-rescheduling "beacon" harness used throughout keeps *all* of
-its state in kernel-owned structures (clock, RNG, trace, metrics), so
-it is fully continuable from a snapshot via the label→callback
-registry — the one workload where restore-and-continue, not replay,
-is exercised end to end.
+The self-rescheduling "beacon" harness used throughout keeps all of its
+state in kernel-owned structures (clock, RNG, trace, metrics), so a
+state digest covers everything it does.
 """
 
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,14 +37,14 @@ from repro.core.resume import (
     run_checkpointed,
 )
 from repro.obs.export import export_digest
-from repro.sim import Kernel
+from repro.sim import DeterministicRandom, Kernel
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     KIND_KERNEL,
     canonical_json,
     make_envelope,
+    payload_digest,
     read_checkpoint,
-    restore_kernel,
     snapshot_kernel,
     state_digest,
     verify_envelope,
@@ -58,40 +60,29 @@ from repro.sim.errors import (
 SEED = 20130708
 
 
-# -- the continuable beacon harness --------------------------------------------
+# -- the beacon harness --------------------------------------------------------
 
-def beacon_factory(kernel, limit):
-    """Label→callback factory for a self-rescheduling beacon chain.
+def start_beacons(kernel, limit=30):
+    """Start a self-rescheduling beacon chain of ``limit + 1`` firings.
 
-    ``factory(label)`` returns the callback for that beacon — the
-    signature :func:`restore_kernel`'s resolver expects — and each
-    firing draws its next delay from the kernel RNG, records a trace
-    line, bumps a metric, and schedules its successor.  No state
-    outside the kernel, so a restored kernel continues bit-identically.
+    Each firing draws its next delay from the kernel RNG, records a
+    trace line, bumps a metric, and schedules its successor.
     """
 
-    def factory(label):
-        def fire():
-            index = int(label.rsplit(":", 1)[1])
-            delay = 1.0 + kernel.rng.uniform(0.0, 4.0)
-            kernel.trace.record("beacon", "fire", label, delay=delay)
-            kernel.metrics.inc("beacon.fires")
-            if index < limit:
-                successor = "beacon:%d" % (index + 1)
-                kernel.call_later(delay, factory(successor), successor)
+    def fire(index):
+        label = "beacon:%d" % index
+        delay = 1.0 + kernel.rng.uniform(0.0, 4.0)
+        kernel.trace.record("beacon", "fire", label, delay=delay)
+        kernel.metrics.inc("beacon.fires")
+        if index < limit:
+            kernel.call_later(delay, lambda: fire(index + 1),
+                              "beacon:%d" % (index + 1))
 
-        return fire
-
-    return factory
+    kernel.call_later(0.5, lambda: fire(0), "beacon:0")
 
 
 def _noop():
     return None
-
-
-def start_beacons(kernel, limit=30):
-    factory = beacon_factory(kernel, limit)
-    kernel.call_later(0.5, factory("beacon:0"), "beacon:0")
 
 
 def build_busy_kernel(seed=7, limit=25, junk=200, cancel=170):
@@ -119,20 +110,7 @@ def build_busy_kernel(seed=7, limit=25, junk=200, cancel=170):
     return kernel
 
 
-# -- round-trip identity -------------------------------------------------------
-
-def test_snapshot_restore_round_trip_is_identity():
-    kernel = build_busy_kernel()
-    kernel.run(until=40.0)
-    envelope = snapshot_kernel(kernel, meta={"suite": "round-trip"})
-    restored = restore_kernel(envelope)
-    assert state_digest(restored) == envelope["state_digest"]
-    again = snapshot_kernel(restored, meta={"suite": "round-trip"})
-    assert canonical_json(again["state"]) == canonical_json(
-        envelope["state"])
-    assert again["state_digest"] == envelope["state_digest"]
-    assert again["digest"] == envelope["digest"]
-
+# -- pure, complete snapshots --------------------------------------------------
 
 def test_snapshot_is_pure_observation():
     """Taking a snapshot must not perturb the run it captures."""
@@ -149,35 +127,10 @@ def test_snapshot_is_pure_observation():
     assert state_digest(kernel) == state_digest(witness)
 
 
-def test_restored_trace_indexes_answer_queries():
-    kernel = build_busy_kernel()
-    kernel.run(until=40.0)
-    restored = restore_kernel(snapshot_kernel(kernel))
-    assert len(restored.trace) == len(kernel.trace)
-    assert (len(restored.trace.query(actor="beacon"))
-            == len(kernel.trace.query(actor="beacon")))
-    assert (len(restored.trace.query(action="fault-scheduled"))
-            == len(kernel.trace.query(action="fault-scheduled")))
-
-
-def test_restored_queue_preserves_cancelled_entries_and_sequence():
-    kernel = build_busy_kernel(junk=100, cancel=10)  # below compaction
-    snapshot = kernel._queue.snapshot_entries()
-    cancelled = [entry for entry in snapshot["entries"]
-                 if entry["cancelled"]]
-    assert len(cancelled) == 10
-    restored = restore_kernel(snapshot_kernel(kernel))
-    assert len(restored._queue) == len(kernel._queue)
-    assert restored._queue._sequence == kernel._queue._sequence
-    assert (restored._queue.snapshot_entries()
-            == kernel._queue.snapshot_entries())
-
-
 def test_lazy_compaction_keeps_snapshots_equivalent():
-    """Two queues in equivalent states — one compacted, one not —
-    snapshot identically once their garbage is gone, and a snapshot
-    taken *with* garbage restores it exactly (satellite: compaction ×
-    checkpoint interaction)."""
+    """A snapshot taken *with* garbage in the heap records exactly the
+    surviving cancelled entries and the full push count, so two runs
+    whose compaction histories differ cannot share a state digest."""
     kernel = Kernel(seed=3)
     events = [kernel.call_later(10.0 + index, _noop, "e:%d" % index)
               for index in range(200)]
@@ -193,15 +146,14 @@ def test_lazy_compaction_keeps_snapshots_equivalent():
     assert len(kernel._queue) == 50
     # The sequence counter still reflects every push ever made.
     assert snapshot["sequence"] == 200
-    restored = restore_kernel(snapshot_kernel(kernel))
-    assert restored._queue.snapshot_entries() == snapshot
-    assert len(restored._queue) == 50
+    assert snapshot_kernel(kernel)["state"]["queue"] == snapshot
 
 
 def test_budget_abort_then_restore_continues_identically():
-    """The PR-4 budget-abort path (EventQueue.restore) composes with
-    snapshot/restore: cutting a run via max_events, snapshotting, and
-    continuing in a fresh kernel matches the uninterrupted run."""
+    """The budget-abort path (which puts the popped event back with
+    EventQueue.restore) composes with snapshots: cutting a run via
+    max_events, snapshotting, and continuing the same kernel matches
+    the uninterrupted run."""
     reference = Kernel(seed=11)
     start_beacons(reference, limit=20)
     reference.run(until=500.0)
@@ -212,67 +164,28 @@ def test_budget_abort_then_restore_continues_identically():
     with pytest.raises(SimulationError):
         kernel.run(until=500.0, max_events=7)
     assert kernel.pending_events == 1  # the aborted event went back
-    restored = _restore_continuable(snapshot_kernel(kernel), limit=20)
-    restored.run(until=500.0)
-    assert state_digest(restored) == final
-    assert trace_digest(restored.trace) == trace_digest(reference.trace)
-
-
-def _restore_continuable(envelope, limit):
-    """Restore a beacon kernel with callbacks bound to *itself*."""
-    kernel = restore_kernel(envelope)
-    kernel._queue.load_entries(
-        envelope["state"]["queue"],
-        lambda label: beacon_factory(kernel, limit)(label))
-    return kernel
+    envelope = snapshot_kernel(kernel)
+    assert envelope["state"]["dispatched"] == 7
+    kernel.run(until=500.0)
+    assert state_digest(kernel) == final
+    assert trace_digest(kernel.trace) == trace_digest(reference.trace)
 
 
 def test_restored_rng_continues_the_stream():
+    """The snapshot's RNG state is complete: a generator loaded from its
+    JSON form draws the kernel's upcoming values, and the recorded seed
+    forks the same child streams."""
     kernel = Kernel(seed=99)
     [kernel.rng.uniform(0, 1) for _ in range(10)]
-    envelope = snapshot_kernel(kernel)
+    state = json.loads(json.dumps(snapshot_kernel(kernel)["state"]["rng"]))
     upcoming = [kernel.rng.uniform(0, 1) for _ in range(5)]
     fork_value = kernel.rng.fork("child").uniform(0, 1)
-    restored = restore_kernel(envelope)
-    assert [restored.rng.uniform(0, 1) for _ in range(5)] == upcoming
-    assert restored.rng.fork("child").uniform(0, 1) == fork_value
-
-
-# -- unbound callbacks and the resolver ----------------------------------------
-
-def test_dispatching_unbound_event_raises_typed_error():
-    kernel = Kernel(seed=1)
-    kernel.call_later(1.0, _noop, "mystery:event")
-    restored = restore_kernel(snapshot_kernel(kernel))
-    with pytest.raises(CheckpointError, match="mystery:event"):
-        restored.run()
-
-
-def test_pending_unbound_events_are_harmless_until_dispatched():
-    kernel = build_busy_kernel()
-    restored = restore_kernel(snapshot_kernel(kernel))
-    # The first beacon fires at t=0.5 and the junk sits at t>=3600;
-    # stopping before either means no placeholder is ever invoked.
-    restored.run(until=0.25, max_events=10)
-    assert state_digest(restored) is not None
-
-
-def test_callback_resolver_exact_and_prefix_binding():
-    kernel = Kernel(seed=5)
-    fired = []
-    kernel.call_later(1.0, _noop, "exact-label")
-    kernel.call_later(2.0, _noop, "beacon:7")
-    kernel.call_later(3.0, _noop, "beacon:extra:9")
-    envelope = snapshot_kernel(kernel)
-    restored = restore_kernel(envelope, callbacks={
-        "exact-label": lambda label: (lambda: fired.append(label)),
-        "beacon:extra:*": lambda label: (
-            lambda: fired.append("extra!" + label)),
-        "beacon:*": lambda label: (lambda: fired.append("b:" + label)),
-    })
-    restored.run()
-    # Longest prefix wins; exact beats prefix.
-    assert fired == ["exact-label", "b:beacon:7", "extra!beacon:extra:9"]
+    generator = random.Random()
+    generator.setstate((state["version"], tuple(state["internal"]),
+                        state["gauss_next"]))
+    assert [generator.uniform(0, 1) for _ in range(5)] == upcoming
+    assert (DeterministicRandom(state["seed"]).fork("child").uniform(0, 1)
+            == fork_value)
 
 
 # -- envelope validation (typed error satellite) -------------------------------
@@ -289,7 +202,12 @@ def envelope_on_disk(tmp_path):
 def test_read_checkpoint_round_trip(envelope_on_disk):
     envelope = read_checkpoint(envelope_on_disk, kind=KIND_KERNEL)
     assert envelope["format"] == CHECKPOINT_VERSION
-    assert restore_kernel(envelope).dispatched_events > 0
+    assert envelope["meta"] == {"k": 1}
+    witness = build_busy_kernel()
+    witness.run(until=20.0)
+    assert payload_digest(envelope["state"]) == envelope["state_digest"]
+    assert envelope["state_digest"] == state_digest(witness)
+    assert envelope["state"]["dispatched"] == witness.dispatched_events > 0
 
 
 def test_missing_file_raises_checkpoint_error(tmp_path):
@@ -365,6 +283,16 @@ def test_missing_fields_are_rejected():
         verify_envelope(["not", "a", "dict"])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_state_raises_checkpoint_error(value):
+    """Canonical JSON has no NaN/Infinity, so a kernel whose state holds
+    one cannot be checkpointed; that surfaces as the typed error."""
+    kernel = Kernel(seed=1)
+    kernel.metrics.set_gauge("test.gauge", value)
+    with pytest.raises(CheckpointError, match="no canonical JSON form"):
+        snapshot_kernel(kernel)
+
+
 def test_write_checkpoint_is_atomic(tmp_path):
     """No ``.tmp`` residue, and the content is one canonical line."""
     path = str(tmp_path / "atomic.json")
@@ -406,19 +334,26 @@ def _build_from_program(program):
 @settings(max_examples=25, deadline=None)
 @given(kernel_programs())
 def test_property_snapshot_load_snapshot_is_identity(program):
+    """A snapshot survives its JSON form: loaded back, it verifies with
+    the same canonical state, and a second snapshot of the untouched
+    kernel matches it digest for digest."""
     kernel = _build_from_program(program)
     envelope = snapshot_kernel(kernel)
-    restored = restore_kernel(envelope)
-    assert (canonical_json(snapshot_kernel(restored)["state"])
+    loaded = verify_envelope(json.loads(json.dumps(envelope)),
+                             kind=KIND_KERNEL)
+    assert (canonical_json(loaded["state"])
             == canonical_json(envelope["state"]))
+    again = snapshot_kernel(kernel)
+    assert again["digest"] == loaded["digest"]
+    assert again["state_digest"] == state_digest(kernel)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), cut=st.integers(0, 25))
 def test_property_resume_at_any_event_index_is_equivalent(seed, cut):
-    """Cut the beacon run after ``cut`` events (a budget abort), restore
-    from the snapshot, continue: the final state digest must equal the
-    uninterrupted run's — for every cut index."""
+    """Cut the beacon run after ``cut`` events (a budget abort),
+    snapshot, continue the same kernel: the final state digest must
+    equal the uninterrupted run's — for every cut index."""
     limit = 20
     reference = Kernel(seed=seed)
     start_beacons(reference, limit)
@@ -429,16 +364,13 @@ def test_property_resume_at_any_event_index_is_equivalent(seed, cut):
     start_beacons(kernel, limit)
     try:
         kernel.run(until=400.0, max_events=cut)
-        cut_short = False
     except SimulationError:
-        cut_short = True
-    restored = _restore_continuable(snapshot_kernel(kernel), limit)
-    restored.run(until=400.0)
-    assert state_digest(restored) == final
-    if not cut_short:
-        # The run already drained within the budget; the "resume" was a
-        # pure round trip and must still match.
-        assert state_digest(kernel) == final
+        pass  # cut short by the budget
+    envelope = snapshot_kernel(kernel)
+    assert envelope["state"]["dispatched"] == min(
+        cut, reference.dispatched_events)
+    kernel.run(until=400.0)
+    assert state_digest(kernel) == final
 
 
 # -- campaign conformance ------------------------------------------------------
@@ -453,8 +385,9 @@ def _campaign_factory(name):
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_campaign_stage_checkpoints_restore_to_recorded_digests(
         name, tmp_path):
-    """Every stage-boundary snapshot of every campaign restores to
-    exactly the state digest the manifest recorded for it."""
+    """Every stage-boundary envelope of every campaign carries exactly
+    the state digest and event count the manifest recorded for it, and
+    the final one is the live kernel's whole state."""
     directory = str(tmp_path / name)
     report = run_checkpointed(_campaign_factory(name), directory,
                               meta={"campaign": name, "seed": SEED})
@@ -463,13 +396,11 @@ def test_campaign_stage_checkpoints_restore_to_recorded_digests(
     assert len(entries) >= 3  # several stages plus the final checkpoint
     assert entries[-1]["tag"] == "final"
     for entry in entries:
-        envelope = store.read(entry)
-        restored = restore_kernel(envelope)
-        assert state_digest(restored) == entry["state_digest"]
-        assert restored.dispatched_events == entry["events"]
-    # The final snapshot reproduces the live kernel's export digest.
-    final = restore_kernel(store.read(entries[-1]))
-    assert export_digest(final) == export_digest(report.kernel)
+        state = store.read(entry)["state"]
+        assert payload_digest(state) == entry["state_digest"]
+        assert state["dispatched"] == entry["events"]
+    final = store.read(entries[-1])
+    assert final["state_digest"] == state_digest(report.kernel)
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
@@ -487,6 +418,8 @@ def test_campaign_interrupted_resume_verifies_prefix(name, tmp_path):
     assert report.result == baseline.result
     assert (trace_digest(report.kernel.trace)
             == trace_digest(baseline.kernel.trace))
+    assert export_digest(report.kernel) == export_digest(baseline.kernel)
+    assert report.metrics == baseline.metrics
     fresh = CheckpointStore(directory).load().entries()
     assert [(e["tag"], e["events"], e["state_digest"]) for e in fresh] \
         == [(e["tag"], e["events"], e["state_digest"]) for e in recorded]
@@ -528,5 +461,11 @@ def test_finished_run_short_circuits_without_replay(tmp_path):
 
     report = resume_checkpointed(exploding_factory, directory)
     assert report.short_circuited
+    assert report.kernel is None and report.campaign is None
     assert report.result == jsonable(baseline.result)
-    assert export_digest(report.kernel) == export_digest(baseline.kernel)
+    assert report.metrics == baseline.kernel.metrics.snapshot()
+    assert report.replayed_events == baseline.kernel.dispatched_events
+    store = CheckpointStore(directory).load()
+    final = store.read(store.final_entry())
+    assert payload_digest(final["state"]) == final["state_digest"]
+    assert final["state_digest"] == state_digest(baseline.kernel)

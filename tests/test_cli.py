@@ -209,6 +209,28 @@ def test_campaign_checkpoint_then_resume_round_trips(tmp_path, capsys):
     assert second.splitlines()[1:] == first.splitlines()
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_finished_run_resume_reprints_result_and_metrics(
+        tmp_path, capsys, json_flag):
+    """Resuming a finished run prints the recorded result and metrics
+    exactly as the recording run did; only the text banner is new."""
+    directory = str(tmp_path / "ckpt")
+    args = json_flag + ["shamoon", "--hosts", "10", "--seed", "4",
+                        "--checkpoint-dir", directory, "--metrics"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args + ["--resume"]) == 0
+    second = capsys.readouterr().out
+    if json_flag:
+        assert second == first
+        assert set(json.loads(second)) == {"result", "metrics"}
+    else:
+        banner, rest = second.split("\n", 1)
+        assert banner.endswith("(finished run, no replay needed)")
+        assert rest == first
+        assert "# TYPE sim_events_dispatched counter" in rest
+
+
 def test_resume_preserves_dict_valued_measurement_order(tmp_path, capsys):
     """Stuxnet's ``infection_vectors`` tally is a dict in insertion
     order; the checkpoint file must round-trip that order so a resumed

@@ -28,8 +28,7 @@ from repro.netsim import Lan
 from repro.netsim.network import NetworkError
 from repro.netsim.smb import SmbError, smb_accessible, smb_copy_file
 from repro.sim import Kernel
-from repro.sim.checkpoint import canonical_json
-from repro.sim.errors import CheckpointError, SimulationError
+from repro.sim.errors import SimulationError
 from repro.winsim import SimHost, WindowsHost
 
 REGIONS = (("east", 2.0), ("west", 1.0))
@@ -110,26 +109,6 @@ def test_force_state_repairs_counters_both_ways(pool):
     assert pool.infectious_by_region[code] == 1
 
 
-def test_pool_load_state_rejects_tampered_counters(pool):
-    pool.seed(1)
-    snapshot = pool.snapshot_state()
-    snapshot["counts"][SUSCEPTIBLE] += 1
-    clone = HostPool(20, REGIONS, Kernel(seed=1).rng.fork("pool"))
-    with pytest.raises(CheckpointError):
-        clone.load_state(snapshot)
-
-
-def test_pool_load_state_rejects_size_and_region_mismatch(pool):
-    snapshot = pool.snapshot_state()
-    other = HostPool(21, REGIONS, Kernel(seed=1).rng.fork("pool"))
-    with pytest.raises(CheckpointError):
-        other.load_state(snapshot)
-    renamed = HostPool(20, (("north", 1.0), ("south", 1.0)),
-                       Kernel(seed=1).rng.fork("pool"))
-    with pytest.raises(CheckpointError):
-        renamed.load_state(snapshot)
-
-
 # -- model --------------------------------------------------------------------
 
 def test_model_validates_profile_and_schedule(kernel):
@@ -184,40 +163,6 @@ def test_epoch_records_trace_spans_and_metrics(kernel):
         model.curve[-1]["cumulative"] - 2
     assert kernel.metrics.gauge("epidemic.infectious").value == \
         model.curve[-1]["infectious"]
-
-
-def test_model_restore_rejects_mismatched_schedule(kernel):
-    model = EpidemicModel(kernel, TransmissionProfile("p"), 10, 3)
-    model.seed_initial(1)
-    state = model.snapshot_state()
-    other = EpidemicModel(Kernel(seed=2), TransmissionProfile("p"), 10, 4)
-    with pytest.raises(CheckpointError):
-        other.load_state(state)
-    renamed = EpidemicModel(Kernel(seed=2), TransmissionProfile("q"),
-                            10, 3)
-    with pytest.raises(CheckpointError):
-        renamed.load_state(state)
-
-
-def test_extension_state_restores_before_provider_registration(kernel):
-    """The resume short-circuit path: a checkpoint restored onto a bare
-    kernel stashes the epidemic payload until the model registers."""
-    from repro.sim import restore_kernel, snapshot_kernel
-
-    profile = TransmissionProfile("p", usb_rate=0.5,
-                                  region_weights=REGIONS)
-    model = EpidemicModel(kernel, profile, 25, 5)
-    model.seed_initial(2)
-    model.start()
-    kernel.run(until=2 * 86400.0)
-    envelope = snapshot_kernel(kernel)
-
-    bare = Kernel(seed=0)
-    restore_kernel(envelope, kernel=bare)
-    late = EpidemicModel(bare, profile, 25, 5)
-    assert late.epoch == 2
-    assert canonical_json(late.snapshot_state()) == \
-        canonical_json(model.snapshot_state())
 
 
 # -- promotion ----------------------------------------------------------------

@@ -221,36 +221,38 @@ def test_epidemic_curve_matches_golden(name, update_golden):
 @pytest.mark.parametrize("name", EPIDEMIC_CAMPAIGNS)
 def test_epidemic_checkpoint_at_epoch_n_resumes_byte_identical(name,
                                                                tmp_path):
-    """Snapshot the kernel mid-spread (epoch 5 of 10), restore onto a
-    freshly built same-seed campaign, finish both — the model states
-    must be byte-identical under canonical JSON, and the exports must
-    share a digest."""
-    from repro.sim import restore_kernel, snapshot_kernel
+    """Interrupt a checkpointed run right after its epoch-5 checkpoint
+    (mid-spread, of 10 epochs) and resume by replay: the verified
+    prefix ends at that epoch, and the resumed model state and export
+    are byte-identical to the uninterrupted run's."""
+    from repro.core.resume import (
+        interrupt_after,
+        resume_checkpointed,
+        run_checkpointed,
+    )
     from repro.sim.checkpoint import canonical_json
 
-    params = dict(QUICK_PARAMS[name])
-    baseline = CAMPAIGNS[name](seed=GOLDEN_SEED, **params)
-    model = baseline.model
-    model.seed_initial(baseline.initial_infections)
-    model.start()
-    kernel = baseline.world.kernel
-    kernel.run(until=5 * 86400.0)
-    assert model.epoch == 5
-    envelope = snapshot_kernel(kernel)
-    kernel.run(until=model.horizon_seconds())
+    def factory():
+        return CAMPAIGNS[name](seed=GOLDEN_SEED,
+                               **dict(QUICK_PARAMS[name]))
 
-    resumed = CAMPAIGNS[name](seed=GOLDEN_SEED, **params)
-    restore_kernel(envelope, kernel=resumed.world.kernel,
-                   callbacks=resumed.checkpoint_callbacks())
-    assert resumed.model.epoch == 5
-    resumed.world.kernel.run(until=resumed.model.horizon_seconds())
-
-    assert canonical_json(resumed.model.snapshot_state()) == \
-        canonical_json(model.snapshot_state())
-    assert resumed.model.curve == model.curve
+    directory = str(tmp_path / name)
+    baseline = run_checkpointed(factory, directory)
+    provider = baseline.campaign.model.provider_name
+    epochs = [baseline.store.read(entry)["state"]["extensions"][provider]
+              ["epoch"] for entry in baseline.store.entries()]
+    keep = epochs.index(5) + 1
+    assert epochs[keep - 1:keep + 1] == [5, 6]
+    interrupt_after(directory, keep=keep)
+    report = resume_checkpointed(factory, directory)
+    assert not report.short_circuited
+    assert report.verified == keep
+    assert canonical_json(report.campaign.model.snapshot_state()) == \
+        canonical_json(baseline.campaign.model.snapshot_state())
+    assert report.campaign.model.curve == baseline.campaign.model.curve
     meta = {"campaign": name, "check": "epoch-resume"}
-    assert export_digest(resumed.world.kernel, meta=meta) == \
-        export_digest(kernel, meta=meta)
+    assert export_digest(report.kernel, meta=meta) == \
+        export_digest(baseline.kernel, meta=meta)
 
 
 def test_flame_resume_mid_campaign(finished_kernels, tmp_path):

@@ -118,6 +118,14 @@ def test_counter_is_monotone():
     assert counter.value == 5
 
 
+def test_counter_rejects_nan_increment():
+    counter = Counter("c")
+    counter.inc(2)
+    with pytest.raises(ValueError):
+        counter.inc(float("nan"))
+    assert counter.value == 2
+
+
 def test_gauge_moves_both_ways():
     gauge = Gauge("g")
     gauge.set(10)

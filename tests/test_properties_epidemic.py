@@ -1,15 +1,20 @@
 """Property-based tests: epidemic pool and model invariants."""
 
+import base64
+import json
+import sys
+from array import array
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CampaignWorld
 from repro.epidemic import (
     EpidemicModel,
     HostPool,
-    INFECTIOUS,
     RECOVERED,
     SUSCEPTIBLE,
     TransmissionProfile,
+    VECTORS,
     demote_host,
     promote_host,
 )
@@ -134,8 +139,8 @@ def test_promotion_round_trip_preserves_pool_state(seed, hosts, epochs,
 @settings(max_examples=15, deadline=None)
 @given(seed=seeds, count=st.integers(min_value=1, max_value=80))
 def test_pool_snapshot_round_trips(seed, count):
-    """load_state(snapshot_state()) reproduces the arrays and every
-    derived counter, across a second pool instance."""
+    """The snapshot's base64 arrays decode back to the pool's rows, and
+    its counters are the ones those rows imply."""
     kernel = Kernel(seed=seed)
     pool = HostPool(count, REGIONS, kernel.rng.fork("pool"))
     rng = kernel.rng.fork("mutate")
@@ -149,13 +154,25 @@ def test_pool_snapshot_round_trips(seed, count):
                 pool.activate(index)
                 if roll < 0.25:
                     pool.recover(index)
-    snapshot = pool.snapshot_state()
-    clone = HostPool(count, REGIONS, Kernel(seed=seed).rng.fork("pool"))
-    clone.load_state(snapshot)
-    assert canonical_json(clone.snapshot_state()) == \
-        canonical_json(snapshot)
-    assert clone.counts == pool.counts
-    assert clone.infectious_by_region == pool.infectious_by_region
-    assert clone.vector_counts == pool.vector_counts
-    assert clone.indices_in_state(INFECTIOUS) == \
-        pool.indices_in_state(INFECTIOUS)
+    snapshot = json.loads(canonical_json(pool.snapshot_state()))
+    rows = {}
+    for name, payload in snapshot["arrays"].items():
+        rows[name] = array(payload["typecode"])
+        rows[name].frombytes(base64.b64decode(payload["data"]))
+        if sys.byteorder == "big":
+            rows[name].byteswap()  # snapshots are little-endian
+        assert payload["itemsize"] == rows[name].itemsize
+        assert len(rows[name]) == count
+    assert list(rows["state"]) == list(pool.state_view())
+    assert list(rows["exposed_epoch"]) == list(pool.exposed_epoch_view())
+    assert [pool.region_names[code] for code in rows["region"]] == \
+        [pool.region_of(index) for index in range(count)]
+    assert [VECTORS[code] for code in rows["vector"]] == \
+        [pool.vector_of(index) for index in range(count)]
+    assert snapshot["counts"] == pool.counts == \
+        [list(rows["state"]).count(code) for code in range(4)]
+    tally = {}
+    for code, vector in zip(rows["state"], rows["vector"]):
+        if code != SUSCEPTIBLE:
+            tally[VECTORS[vector]] = tally.get(VECTORS[vector], 0) + 1
+    assert snapshot["vector_counts"] == pool.vector_counts == tally

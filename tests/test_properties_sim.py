@@ -89,18 +89,17 @@ _QUEUE_OPS = st.lists(st.one_of(
     st.tuples(st.just("cancel_every"), st.integers(1, 4)),
     st.tuples(st.just("pop"), st.sampled_from([None, 0.0, 1.0, 3.0, 9.0])),
     st.tuples(st.just("restore")),
-    st.tuples(st.just("reload")),
 ), max_size=60)
 
 
 @settings(max_examples=150, deadline=None)
 @given(ops=_QUEUE_OPS)
 def test_event_queue_matches_sorted_reference(ops):
-    """Random push/cancel/pop_due/restore/snapshot-reload sequences
+    """Random push/cancel/pop_due/restore sequences
     dispatch exactly as a list sorted by ``(time, sequence)`` would,
     and ``len()`` tracks the live count through compaction."""
     queue = EventQueue()
-    handles = []    # every Event pushed (or rebuilt by a reload)
+    handles = []    # every Event pushed
     live = {}       # reference: label -> (time, sequence)
     sequence = 0
 
@@ -146,14 +145,6 @@ def test_event_queue_matches_sorted_reference(ops):
             if event is not None:
                 queue.restore(event)
                 live[event.label] = (event.time, event.sequence)
-        elif kind == "reload":
-            state = queue.snapshot_entries()
-            queue = EventQueue()
-            queue.load_entries(state, lambda label: (lambda: None))
-            assert queue.snapshot_entries() == state
-            # Dispatched handles stay detached; queued ones are rebuilt.
-            rebuilt = {event.label: event for _, _, event in queue._heap}
-            handles = [rebuilt.get(event.label, event) for event in handles]
         assert len(queue) == len(live)
 
     while live:
