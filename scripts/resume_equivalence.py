@@ -6,10 +6,13 @@ from the surviving manifest, and diffs the resumed result against an
 uninterrupted baseline — trace digests, per-measurement aggregates,
 and merged metrics must all be byte-identical.  It also records an
 interrupted single-campaign run and replay-verifies its checkpoint
-chain: the resumed result, export digest, and metrics must equal the
-uninterrupted run's, and resuming the now-finished chain once more must
-short-circuit to the same result and metrics without a replay.  Replay
-is the only resume protocol, so this is its gate.  The checkpoint
+chain: the checkpoint directory must hold exactly one manifest file; a
+resume with the wrong seed must fail as diverged and leave the manifest
+byte-identical; the right-seed resume's result, export digest, and
+metrics must equal the uninterrupted run's; and resuming the
+now-finished chain once more must short-circuit to the same result and
+metrics without a replay.  Replay is the only resume protocol, so this
+is its gate.  The checkpoint
 directories are left in place for CI to upload as artifacts.
 
 Usage::
@@ -23,9 +26,10 @@ import sys
 
 from repro import CampaignSpec, SweepConfig, run_sweep
 from repro.core.ensemble import CAMPAIGNS, QUICK_PARAMS
-from repro.core.resume import interrupt_after, resume_checkpointed, \
-    run_checkpointed
+from repro.core.resume import CheckpointStore, interrupt_after, \
+    resume_checkpointed, run_checkpointed
 from repro.obs.export import export_digest
+from repro.sim.errors import CheckpointError
 
 BASE_SEED = 20130708
 REPLICAS = 6
@@ -60,17 +64,36 @@ def check_sweep(campaign, directory):
     return failures
 
 
+def _read_bytes(path):
+    with open(path, "rb") as stream:
+        return stream.read()
+
+
 def check_campaign(campaign, directory):
-    def factory():
-        return CAMPAIGNS[campaign](seed=BASE_SEED,
+    def factory(seed=BASE_SEED):
+        return CAMPAIGNS[campaign](seed=seed,
                                    **dict(QUICK_PARAMS[campaign]))
 
     meta = {"campaign": campaign, "seed": BASE_SEED}
     baseline = run_checkpointed(factory, directory, meta=meta)
     recorded = len(baseline.store.entries())
-    interrupt_after(directory, keep=max(1, recorded // 2))
-    report = resume_checkpointed(factory, directory, meta=meta)
     failures = []
+    if os.listdir(directory) != [CheckpointStore.MANIFEST]:
+        failures.append("checkpoint directory holds %s, expected only %s"
+                        % (sorted(os.listdir(directory)),
+                           CheckpointStore.MANIFEST))
+    interrupt_after(directory, keep=max(1, recorded // 2))
+    manifest = os.path.join(directory, CheckpointStore.MANIFEST)
+    interrupted = _read_bytes(manifest)
+    try:
+        resume_checkpointed(lambda: factory(BASE_SEED + 1), directory)
+        failures.append("wrong-seed resume did not fail")
+    except CheckpointError as exc:
+        if "diverged" not in str(exc):
+            failures.append("wrong-seed resume failed oddly: %s" % exc)
+    if _read_bytes(manifest) != interrupted:
+        failures.append("wrong-seed resume changed the manifest")
+    report = resume_checkpointed(factory, directory, meta=meta)
     if canonical(report.result) != canonical(baseline.result):
         failures.append("campaign result differs after resume")
     if report.verified != max(1, recorded // 2):

@@ -54,7 +54,6 @@ from repro.sim import (
     Kernel,
     SweepConfig,
     run_sweep,
-    snapshot_kernel,
 )
 
 __version__ = "1.0.0"
@@ -89,6 +88,5 @@ __all__ = [
     "run_checkpointed",
     "run_sweep",
     "seed_user_documents",
-    "snapshot_kernel",
     "write_jsonl",
 ]

@@ -20,9 +20,9 @@ Prometheus-style metrics dump (or a ``metrics`` key under ``--json``).
 
 The campaign subcommands and ``sweep`` also take ``--checkpoint-dir
 DIR`` (record a resumable checkpoint manifest) and ``--resume``
-(continue an interrupted run from that directory); the campaign
-subcommands additionally take ``--checkpoint-every N`` for periodic
-snapshots between stage boundaries.
+(continue an interrupted run from that directory).  A campaign's
+checkpoint directory is one append-only ``MANIFEST.jsonl`` with a line
+per kill-chain stage boundary.
 """
 
 import argparse
@@ -73,11 +73,10 @@ def _run_single(args, header, meta, factory, run=None):
     """Shared driver for the single-campaign subcommands.
 
     Without ``--checkpoint-dir`` this is a plain build-and-run.  With
-    it, the run records a resumable checkpoint chain (every kill-chain
-    stage boundary, plus every ``--checkpoint-every`` events when
-    given); ``--resume`` replays an interrupted run against that chain
-    — or short-circuits straight to the recorded result if the run had
-    already finished.  ``meta`` pins the campaign name, seed, and
+    it, the run records a resumable checkpoint chain (one manifest line
+    per kill-chain stage boundary); ``--resume`` replays an interrupted
+    run against that chain — or short-circuits straight to the recorded
+    result if the run had already finished.  ``meta`` pins the campaign name, seed, and
     parameters, so resuming with mismatched flags fails loudly instead
     of silently verifying the wrong simulation.
     """
@@ -95,8 +94,7 @@ def _run_single(args, header, meta, factory, run=None):
                                          meta=meta, run=run)
         else:
             report = run_checkpointed(factory, args.checkpoint_dir,
-                                      meta=meta, run=run,
-                                      every_events=args.checkpoint_every)
+                                      meta=meta, run=run)
         result = report.result
         metrics = report.metrics
         if args.resume and not args.json:
@@ -332,7 +330,7 @@ def build_parser():
             help="also dump the kernel metrics registry (Prometheus "
                  "text, or a 'metrics' key under --json)")
 
-    def add_checkpoint_flags(subparser, periodic=True):
+    def add_checkpoint_flags(subparser):
         subparser.add_argument(
             "--checkpoint-dir", default=None, metavar="DIR",
             help="record a resumable checkpoint manifest into DIR")
@@ -341,11 +339,6 @@ def build_parser():
             help="resume an interrupted run from --checkpoint-dir "
                  "(replays deterministically and verifies the recorded "
                  "checkpoint chain)")
-        if periodic:
-            subparser.add_argument(
-                "--checkpoint-every", type=int, default=None, metavar="N",
-                help="also checkpoint every N dispatched events "
-                     "(default: stage boundaries only)")
 
     stuxnet = sub.add_parser("stuxnet", help="the Natanz campaign (SII)")
     stuxnet.add_argument("--seed", type=int, default=2010)
@@ -443,7 +436,7 @@ def build_parser():
     sweep.add_argument("--json", action="store_true",
                        default=argparse.SUPPRESS,
                        help="print the full sweep result as JSON")
-    add_checkpoint_flags(sweep, periodic=False)
+    add_checkpoint_flags(sweep)
     add_metrics_flag(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 

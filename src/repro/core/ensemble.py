@@ -15,7 +15,6 @@ seed) into a small :class:`ReplicaResult`, and :func:`aggregate` /
 :mod:`repro.sim.sweep`.
 """
 
-import hashlib
 import math
 import time
 from datetime import datetime, timezone
@@ -214,56 +213,16 @@ def reduce_measurements(raw):
     return out
 
 
-def _stable(value):
-    """Process-independent rendering of a trace-detail value.
-
-    ``repr`` of a primitive is stable across interpreters; the default
-    ``repr`` of an arbitrary object embeds its memory address, which
-    would make digests differ between workers — so objects render as
-    their type name.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return repr(value)
-    if isinstance(value, dict):
-        items = sorted((str(k), _stable(v)) for k, v in value.items())
-        return "{%s}" % ",".join("%s=%s" % item for item in items)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        parts = [_stable(v) for v in value]
-        if isinstance(value, (set, frozenset)):
-            parts = sorted(parts)
-        return "[%s]" % ",".join(parts)
-    return "<%s>" % type(value).__name__
-
-
 def trace_digest(trace):
     """SHA-256 digest of a :class:`~repro.sim.trace.TraceLog`.
 
     The golden-determinism tests compare digests, not traces: two runs
     with the same seed must agree record for record, and the digest is
     the only trace artefact cheap enough to ship back from a worker.
+    It is the trace's own running digest (:meth:`TraceLog.digest`), so
+    it equals the trace hash inside every checkpoint state digest.
     """
-    digest = hashlib.sha256()
-    # Feed the hash in ~64 KiB batches: one encode+update per buffer
-    # instead of per record.  UTF-8 encoding distributes over
-    # concatenation, so the digest is byte-identical to the per-line
-    # version — this runs once per replica, right on the sweep engine's
-    # hot path.
-    buffered = []
-    buffered_bytes = 0
-    for record in trace:
-        line = "%r|%s|%s|%s|%s\n" % (record.time, record.actor,
-                                     record.action, record.target,
-                                     _stable(record.detail))
-        buffered.append(line)
-        buffered_bytes += len(line)
-        if buffered_bytes >= 65536:
-            digest.update("".join(buffered).encode("utf-8",
-                                                   "backslashreplace"))
-            buffered = []
-            buffered_bytes = 0
-    if buffered:
-        digest.update("".join(buffered).encode("utf-8", "backslashreplace"))
-    return digest.hexdigest()
+    return trace.digest()
 
 
 class ReplicaResult:

@@ -1,25 +1,27 @@
 """Checkpointed runs and deterministic resume for campaigns and sweeps.
 
-The kernel-level snapshot format lives in :mod:`repro.sim.checkpoint`;
-this module is the policy layer that decides *when* to snapshot and
-*how* to come back:
+The envelope format and the kernel state digest live in
+:mod:`repro.sim.checkpoint`; this module is the policy layer that
+decides *when* to checkpoint and *how* to come back:
 
-* :class:`CheckpointStore` — one directory of numbered checkpoint files
-  plus a digest-protected ``MANIFEST.json`` describing them.
+* :class:`CheckpointStore` — a campaign checkpoint directory is one
+  append-only ``MANIFEST.jsonl``: a header line with the run's meta,
+  then one line per checkpoint (``tag``, ``events``, ``sim_seconds``,
+  ``state_digest``); the ``final`` line also carries the result and
+  metrics.
 * :class:`CampaignCheckpointer` — hooks a live campaign's kernel so a
   checkpoint lands at every kill-chain stage boundary (via the span
-  recorder's finish listener) and, optionally, every N dispatched
-  events (via the kernel's checkpoint hook).
+  recorder's finish listener).
 * :func:`run_checkpointed` / :func:`resume_checkpointed` — the
   replay-based resume protocol.  Campaign callbacks are closures, so a
-  mid-run kernel snapshot cannot simply be "continued"; instead, every
-  run is fully determined by its seed, so resuming re-executes the
-  campaign from zero and demands that the interrupted run's recorded
-  checkpoint chain — tag by tag, event count by event count, state
-  digest by state digest — is a bit-identical prefix of the replay.
-  Divergence raises :class:`~repro.sim.errors.CheckpointError`; the
-  checkpoint chain is thus both the recovery mechanism and the
-  strongest correctness oracle the kernel has.
+  mid-run kernel cannot be "continued"; every run is fully determined
+  by its seed, so resuming re-executes the campaign from zero and
+  checks each checkpoint the replay produces against the recorded
+  chain — tag, event count, state digest — raising
+  :class:`~repro.sim.errors.CheckpointError` at the first divergence
+  and appending only after the whole recorded prefix has matched.  The
+  chain is thus both the recovery mechanism and the strongest
+  correctness oracle the kernel has.
 * :class:`SweepCheckpoint` — the sweep manifest: one spec/config
   fingerprint plus one atomically-written result file per completed
   replica.  On resume, finished replicas short-circuit straight from
@@ -33,31 +35,29 @@ this module is the policy layer that decides *when* to snapshot and
   fallback skips process dispatch for it entirely.
 """
 
+import json
 import os
 
 from repro.core.ensemble import ReplicaFailure, ReplicaResult
 from repro.sim.checkpoint import (
+    KIND_CHECKPOINT,
     KIND_FAILURE,
     KIND_MANIFEST,
     KIND_REPLICA,
     KIND_SWEEP,
+    envelope_line,
     make_envelope,
     read_checkpoint,
-    snapshot_kernel,
+    state_digest,
+    verify_envelope,
     write_checkpoint,
 )
 from repro.sim.errors import CheckpointError
 
 #: Tag of the checkpoint written after a campaign run completes; its
-#: meta carries the campaign result, so a finished run short-circuits
-#: on resume instead of replaying.
+#: manifest line carries the campaign result and metrics, so a finished
+#: run short-circuits on resume instead of replaying.
 FINAL_TAG = "final"
-
-
-def _slug(tag):
-    """Filesystem-safe rendering of a checkpoint tag."""
-    return "".join(ch if ch.isalnum() or ch in ".-" else "-"
-                   for ch in tag) or "checkpoint"
 
 
 def _ensure_directory(directory):
@@ -86,156 +86,177 @@ def _list_directory(directory):
 
 
 class CheckpointStore:
-    """One directory of checkpoint files described by a manifest.
+    """A campaign checkpoint directory: one append-only manifest file.
 
-    The manifest is rewritten (atomically) after every append, so at
-    any instant the directory is self-describing: files the manifest
-    does not mention are as good as absent, which is what makes a
-    SIGKILL mid-append recoverable.
+    ``MANIFEST.jsonl`` holds a header envelope (kind
+    ``checkpoint-manifest``, the run's meta) and then one
+    ``campaign-checkpoint`` envelope per checkpoint.  Lines are only
+    ever appended.
     """
 
-    MANIFEST = "MANIFEST.json"
+    MANIFEST = "MANIFEST.jsonl"
 
     def __init__(self, directory):
         self.directory = directory
-        self._manifest = None
+        self.meta = None
+        self._entries = []
 
     @property
     def manifest_path(self):
         return os.path.join(self.directory, self.MANIFEST)
 
-    def initialise(self, meta=None, every_events=None):
-        """Create (or reset) the manifest for a fresh recorded run."""
-        _ensure_directory(self.directory)
+    def _write(self, data, mode="ab", keep=None):
+        """Write ``data`` to the manifest, first cutting it to ``keep``
+        bytes if given; OS failures raise :class:`CheckpointError`."""
+        try:
+            with open(self.manifest_path, mode) as stream:
+                if keep is not None:
+                    stream.truncate(keep)
+                stream.write(data)
+        except OSError as exc:
+            raise CheckpointError(
+                "cannot write checkpoint manifest %s: %s: %s"
+                % (self.manifest_path, type(exc).__name__, exc)) from exc
+
+    def initialise(self, meta=None):
+        """Start a fresh manifest (header line only) for a recorded run."""
         from repro.obs.export import jsonable
 
-        self._manifest = {
-            "meta": {str(k): jsonable(v) for k, v in (meta or {}).items()},
-            "every_events": every_events,
-            "checkpoints": [],
-        }
-        self._write_manifest()
+        _ensure_directory(self.directory)
+        self.meta = {str(k): jsonable(v) for k, v in (meta or {}).items()}
+        self._write(envelope_line(make_envelope(
+            KIND_MANIFEST, {}, meta=self.meta)).encode("utf-8"), mode="wb")
+        self._entries = []
         return self
-
-    def _write_manifest(self):
-        write_checkpoint(self.manifest_path,
-                         make_envelope(KIND_MANIFEST, self._manifest))
 
     def load(self):
-        """Read and validate the manifest; returns ``self``."""
-        envelope = read_checkpoint(self.manifest_path, kind=KIND_MANIFEST)
-        self._manifest = envelope["state"]
+        """Read and verify the manifest; returns ``self``.
+
+        A torn last line — no trailing newline, or not JSON — is what a
+        crash mid-append leaves: it is dropped and truncated away.  Any
+        other bad line raises :class:`CheckpointError`.
+        """
+        path = self.manifest_path
+        try:
+            with open(path, "rb") as stream:
+                data = stream.read()
+        except OSError as exc:
+            raise CheckpointError(
+                "cannot read checkpoint manifest %s: %s: %s"
+                % (path, type(exc).__name__, exc)) from exc
+        *lines, tail = data.split(b"\n")
+        envelopes = []
+        for number, raw in enumerate(lines, 1):
+            try:
+                envelope = json.loads(raw)
+            except ValueError as exc:
+                if number < len(lines) or tail:
+                    raise CheckpointError(
+                        "checkpoint manifest %s line %d is not JSON: %s"
+                        % (path, number, exc)) from exc
+                break
+            envelopes.append(verify_envelope(
+                envelope, kind=KIND_MANIFEST if number == 1
+                else KIND_CHECKPOINT, path="%s line %d" % (path, number)))
+        if not envelopes:
+            raise CheckpointError(
+                "checkpoint manifest %s has no intact header line" % path)
+        intact = sum(len(raw) + 1 for raw in lines[:len(envelopes)])
+        if intact < len(data):
+            self._write(b"", keep=intact)
+        self.meta = dict(envelopes[0]["meta"])
+        self._entries = [envelope["state"] for envelope in envelopes[1:]]
         return self
 
-    @property
-    def meta(self):
-        return dict(self._manifest["meta"])
-
-    @property
-    def every_events(self):
-        return self._manifest["every_events"]
-
     def entries(self):
-        """Recorded checkpoint descriptors, in write order."""
-        return [dict(entry) for entry in self._manifest["checkpoints"]]
+        """Recorded checkpoint entries, in write order."""
+        return [dict(entry) for entry in self._entries]
 
-    def append(self, envelope, tag):
-        """Write one checkpoint file and record it in the manifest."""
-        sequence = len(self._manifest["checkpoints"]) + 1
-        filename = "ckpt-%04d-%s.json" % (sequence, _slug(tag))
-        write_checkpoint(os.path.join(self.directory, filename), envelope)
-        self._manifest["checkpoints"].append({
-            "file": filename,
-            "tag": tag,
-            "events": envelope["state"]["dispatched"],
-            "sim_seconds": envelope["state"]["clock"]["now"],
-            "state_digest": envelope["state_digest"],
-        })
-        self._write_manifest()
-        return filename
-
-    def read(self, entry):
-        """Load and validate the checkpoint file behind one entry."""
-        from repro.sim.checkpoint import KIND_KERNEL
-
-        return read_checkpoint(os.path.join(self.directory, entry["file"]),
-                               kind=KIND_KERNEL)
-
-    def latest(self):
-        """The newest entry, or None for an empty store."""
-        checkpoints = self._manifest["checkpoints"]
-        return dict(checkpoints[-1]) if checkpoints else None
+    def append(self, entry):
+        """Append one checkpoint entry as a manifest line."""
+        self._write(envelope_line(
+            make_envelope(KIND_CHECKPOINT, entry)).encode("utf-8"))
+        self._entries.append(entry)
+        return entry
 
     def final_entry(self):
         """The run-completed entry, or None if the run was interrupted."""
-        for entry in reversed(self._manifest["checkpoints"]):
-            if entry["tag"] == FINAL_TAG:
-                return dict(entry)
+        if self._entries and self._entries[-1]["tag"] == FINAL_TAG:
+            return dict(self._entries[-1])
         return None
 
 
 def interrupt_after(directory, keep):
     """Crash simulator: forget all but the first ``keep`` checkpoints.
 
-    Rewrites the manifest as if the recording process had been killed
-    right after checkpoint ``keep`` landed — which, because appends are
-    atomic and the manifest is rewritten per append, is exactly the
-    on-disk state such a crash leaves.  Used by the differential tests
-    and the CI resume-equivalence step.
+    Cuts the manifest to its header plus the first ``keep`` lines —
+    exactly the on-disk state a crash right after checkpoint ``keep``
+    landed leaves, because lines are only ever appended.  Used by the
+    differential tests and the CI resume-equivalence step.
     """
     store = CheckpointStore(directory).load()
-    entries = store._manifest["checkpoints"]
-    if not 0 <= keep <= len(entries):
+    if not 0 <= keep <= len(store._entries):
         raise ValueError("cannot keep %r of %d checkpoints"
-                         % (keep, len(entries)))
-    del entries[keep:]
-    store._write_manifest()
-    return store
+                         % (keep, len(store._entries)))
+    with open(store.manifest_path, "rb") as stream:
+        lines = stream.read().split(b"\n")
+    store._write(b"", keep=sum(len(line) + 1 for line in lines[:keep + 1]))
+    return store.load()
 
 
 class CampaignCheckpointer:
-    """Auto-checkpoint hooks for one live campaign kernel.
+    """Stage-boundary checkpoints for one live campaign kernel.
 
-    Writes a snapshot into ``directory`` at every kill-chain stage
-    boundary (span finish) and, if ``every_events`` is given, every N
-    dispatched events.  Snapshotting is pure observation, so a
-    checkpointed run's trace digest is identical to an uninstrumented
-    run of the same seed — the golden-trace suite pins this.
+    A checkpoint is the kernel's ``(tag, events, sim_seconds,
+    state_digest)`` at the moment a kill-chain span closes.  The first
+    ``len(recorded)`` checkpoints — the chain an interrupted run left —
+    are checked against ``recorded`` instead of being appended; the
+    first mismatch raises :class:`CheckpointError`, and every later
+    checkpoint (including :meth:`finalize`) raises it again, so a
+    diverged replay never writes to the store.  Digesting is pure
+    observation, so a checkpointed run's trace is identical to an
+    uninstrumented run of the same seed — the golden-trace suite pins
+    this.
     """
 
-    def __init__(self, campaign, directory, meta=None, every_events=None,
-                 stage_boundaries=True, fresh=True):
+    def __init__(self, campaign, store, recorded=()):
         self.kernel = campaign.world.kernel
-        self.store = CheckpointStore(directory)
-        if fresh:
-            self.store.initialise(meta=meta, every_events=every_events)
-        else:
-            self.store.load()
-        self.meta = dict(meta or {})
-        self._listener = None
-        if stage_boundaries:
-            self._listener = self.kernel.spans.on_finish(self._stage_finished)
-        if every_events is not None:
-            self.kernel.set_checkpoint_hook(self._periodic, every_events)
+        self.store = store
+        self.recorded = list(recorded)
+        #: Checkpoints taken so far, verified or appended.
+        self.taken = 0
+        self._error = None
+        self._listener = self.kernel.spans.on_finish(self._stage_finished)
 
     def _stage_finished(self, span):
         self.checkpoint("stage:%s" % span.name)
 
-    def _periodic(self, kernel):
-        self.checkpoint("periodic")
-
-    def checkpoint(self, tag, extra_meta=None):
-        """Snapshot the kernel now, under ``tag``."""
-        meta = dict(self.meta)
-        meta["tag"] = tag
-        if extra_meta:
-            meta.update(extra_meta)
-        envelope = snapshot_kernel(self.kernel, meta=meta)
-        self.store.append(envelope, tag)
-        return envelope
+    def checkpoint(self, tag, **extra):
+        """Take checkpoint ``tag`` now: verify it or append it."""
+        if self._error is not None:
+            raise self._error
+        kernel = self.kernel
+        entry = {"tag": tag, "events": kernel.dispatched_events,
+                 "sim_seconds": kernel.clock.now,
+                 "state_digest": state_digest(kernel)}
+        entry.update(extra)
+        index = self.taken
+        self.taken += 1
+        if index >= len(self.recorded):
+            return self.store.append(entry)
+        old = self.recorded[index]
+        for key in ("tag", "events", "state_digest"):
+            if old[key] != entry[key]:
+                self._error = CheckpointError(
+                    "replay diverged from the interrupted run at "
+                    "checkpoint %d (%r): recorded %s=%r, replay produced "
+                    "%s=%r" % (index + 1, old["tag"], key, old[key], key,
+                               entry[key]))
+                raise self._error
+        return entry
 
     def finalize(self, result=None):
-        """Record the run-completed checkpoint, with the result in meta.
+        """Record the run-completed checkpoint with result and metrics.
 
         The result goes through :func:`jsonable_ordered` so dict-valued
         measurements keep their insertion order and a resume that
@@ -243,15 +264,14 @@ class CampaignCheckpointer:
         """
         from repro.obs.export import jsonable_ordered
 
-        return self.checkpoint(
-            FINAL_TAG, extra_meta={"result": jsonable_ordered(result)})
+        return self.checkpoint(FINAL_TAG, result=jsonable_ordered(result),
+                               metrics=self.kernel.metrics.snapshot())
 
     def detach(self):
-        """Unhook from the kernel (listeners + periodic hook)."""
+        """Unhook from the kernel's span recorder."""
         if self._listener is not None:
             self.kernel.spans.remove_finish_listener(self._listener)
             self._listener = None
-        self.kernel.set_checkpoint_hook(None)
 
 
 class ResumeReport:
@@ -279,13 +299,6 @@ class ResumeReport:
         #: True when a final checkpoint made re-execution unnecessary.
         self.short_circuited = short_circuited
 
-    def as_dict(self):
-        return {
-            "verified_checkpoints": self.verified,
-            "replayed_events": self.replayed_events,
-            "short_circuited": self.short_circuited,
-        }
-
     def __repr__(self):
         return ("ResumeReport(verified=%d, replayed_events=%d, "
                 "short_circuited=%r)" % (self.verified,
@@ -293,39 +306,47 @@ class ResumeReport:
                                          self.short_circuited))
 
 
-def run_checkpointed(factory, directory, meta=None, run=None,
-                     every_events=None):
-    """Build a campaign with ``factory()``, run it with checkpointing.
-
-    ``run(campaign)`` defaults to ``campaign.run()``.  Returns a
-    :class:`ResumeReport` (with ``verified == 0`` — nothing existed to
-    verify against).
-    """
+def _record(factory, store, run, recorded=()):
+    """Build a campaign with ``factory()`` and run it checkpointed,
+    verifying ``recorded`` before appending anything to ``store``."""
     campaign = factory()
-    checkpointer = CampaignCheckpointer(campaign, directory, meta=meta,
-                                        every_events=every_events)
+    checkpointer = CampaignCheckpointer(campaign, store, recorded)
     try:
         result = (run or (lambda c: c.run()))(campaign)
         final = checkpointer.finalize(result)
     finally:
         checkpointer.detach()
-    return ResumeReport(result=result, metrics=final["state"]["metrics"],
+    return ResumeReport(result=result, metrics=final["metrics"],
                         kernel=campaign.world.kernel, campaign=campaign,
-                        store=checkpointer.store)
+                        store=store, verified=len(recorded),
+                        replayed_events=(recorded[-1]["events"] if recorded
+                                         else 0))
+
+
+def run_checkpointed(factory, directory, meta=None, run=None):
+    """Build a campaign with ``factory()``, run it with checkpointing.
+
+    ``run(campaign)`` defaults to ``campaign.run()``.  Starts a fresh
+    manifest in ``directory``.  Returns a :class:`ResumeReport` (with
+    ``verified == 0`` — nothing existed to verify against).
+    """
+    return _record(factory, CheckpointStore(directory).initialise(meta),
+                   run)
 
 
 def resume_checkpointed(factory, directory, meta=None, run=None):
     """Resume an interrupted checkpointed run from ``directory``.
 
     * A finished run (final checkpoint present) short-circuits: the
-      result and metrics come from the final checkpoint, and no kernel
-      is built at all.
+      result and metrics come from the final manifest line, and no
+      kernel is built at all.
     * An interrupted run replays: the campaign is rebuilt from the
-      deterministic ``factory`` and re-run with the same checkpoint
-      policy, and every checkpoint the interrupted run managed to
-      record must match the replay's — same tag, same event count, same
-      state digest — or :class:`CheckpointError` reports the exact
-      divergence point.
+      deterministic ``factory`` and re-run, and each checkpoint the
+      interrupted run recorded must match the replay's as it is
+      produced — same tag, same event count, same state digest — or
+      :class:`CheckpointError` reports the exact divergence point with
+      the manifest untouched.  Past the recorded prefix the replay
+      appends its own checkpoints.
 
     ``meta``, when given, must equal the manifest's recorded meta; this
     catches resuming with the wrong campaign, seed, or parameters
@@ -335,46 +356,22 @@ def resume_checkpointed(factory, directory, meta=None, run=None):
 
     store = CheckpointStore(directory).load()
     if meta is not None:
-        recorded = store.meta
         wanted = {str(k): jsonable(v) for k, v in meta.items()}
-        if recorded != wanted:
+        if store.meta != wanted:
             raise CheckpointError(
                 "checkpoint directory %s was recorded for a different "
                 "run: manifest meta %r, resume requested %r"
-                % (directory, recorded, wanted))
+                % (directory, store.meta, wanted))
     prior = store.entries()
-    every_events = store.every_events
     final = store.final_entry()
     if final is not None:
-        envelope = store.read(final)
-        return ResumeReport(result=envelope["meta"].get("result"),
-                            metrics=envelope["state"]["metrics"],
+        return ResumeReport(result=final["result"],
+                            metrics=final["metrics"],
                             kernel=None, campaign=None, store=store,
                             verified=len(prior),
                             replayed_events=final["events"],
                             short_circuited=True)
-    replay = run_checkpointed(factory, directory, meta=store.meta, run=run,
-                              every_events=every_events)
-    fresh = replay.store.entries()
-    if len(fresh) < len(prior):
-        raise CheckpointError(
-            "replay recorded %d checkpoints but the interrupted run had "
-            "already recorded %d — the runs cannot be the same "
-            "simulation" % (len(fresh), len(prior)))
-    for index, (old, new) in enumerate(zip(prior, fresh)):
-        for key in ("tag", "events", "state_digest"):
-            if old[key] != new[key]:
-                raise CheckpointError(
-                    "replay diverged from the interrupted run at "
-                    "checkpoint %d (%r): recorded %s=%r, replay produced "
-                    "%s=%r" % (index + 1, old["tag"], key, old[key], key,
-                               new[key]))
-    return ResumeReport(result=replay.result, metrics=replay.metrics,
-                        kernel=replay.kernel, campaign=replay.campaign,
-                        store=replay.store,
-                        verified=len(prior),
-                        replayed_events=(prior[-1]["events"] if prior
-                                         else 0))
+    return _record(factory, store, run, recorded=prior)
 
 
 # -- sweep manifests -----------------------------------------------------------

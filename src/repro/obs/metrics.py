@@ -29,6 +29,17 @@ DAY_BUCKETS = (1.0, 2.0, 3.0, 7.0, 14.0, 30.0, 90.0, 180.0, 365.0)
 BYTE_BUCKETS = (256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
                 1048576.0)
 
+_INF = float("inf")
+
+
+def _finite(metric, value):
+    """``value``, or a ``ValueError`` naming ``metric`` if it is NaN or
+    infinite (written so NaN fails too: it compares False)."""
+    if not -_INF < value < _INF:
+        raise ValueError("%s %r takes finite values, got %r"
+                         % (metric.kind, metric.name, value))
+    return value
+
 
 class Counter:
     """A monotonically non-decreasing count."""
@@ -43,9 +54,9 @@ class Counter:
 
     def inc(self, amount=1):
         # Written so NaN fails too: it compares False against anything.
-        if not amount >= 0:
-            raise ValueError("counter %r takes a non-negative amount, "
-                             "got %r" % (self.name, amount))
+        if not 0 <= amount < _INF:
+            raise ValueError("counter %r takes a finite non-negative "
+                             "amount, got %r" % (self.name, amount))
         self.value += amount
         return self.value
 
@@ -67,16 +78,18 @@ class Gauge:
         self.name = name
         self.value = 0
 
+    # inc/dec check the new value, which a non-finite amount makes
+    # non-finite too.
     def set(self, value):
-        self.value = value
+        self.value = _finite(self, value)
         return self.value
 
     def inc(self, amount=1):
-        self.value += amount
+        self.value = _finite(self, self.value + amount)
         return self.value
 
     def dec(self, amount=1):
-        self.value -= amount
+        self.value = _finite(self, self.value - amount)
         return self.value
 
     def as_dict(self):
@@ -112,7 +125,7 @@ class Histogram:
         self.count = 0
 
     def observe(self, value):
-        value = float(value)
+        value = _finite(self, float(value))
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1

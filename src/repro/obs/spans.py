@@ -18,8 +18,13 @@ Two APIs:
 
 Recording a span consumes no randomness and schedules no events, so
 instrumented and uninstrumented runs of the same seed are identical.
+
+:meth:`SpanRecorder.digest` hashes the recorder for checkpoints: closed
+spans fold into a running SHA-256 in finish order, so only the open
+spans are rendered again at each checkpoint.
 """
 
+import hashlib
 from contextlib import contextmanager
 
 #: Span states.  ``open`` means the simulation ended before the stage
@@ -87,6 +92,11 @@ class SpanRecorder:
         self._stack = []
         self._next_id = 1
         self._finish_listeners = []
+        #: Live spans by id, in begin order.
+        self._open = {}
+        #: Spans closed since the last :meth:`digest`, in finish order.
+        self._unfolded = []
+        self._hash = hashlib.sha256()
 
     # -- recording ------------------------------------------------------------
 
@@ -95,7 +105,7 @@ class SpanRecorder:
 
         This is the stage-boundary hook the checkpoint layer uses: a
         campaign stage finishing is exactly the cut point a resumable
-        run wants a snapshot at.  Listeners must be pure observers —
+        run wants a checkpoint at.  Listeners must be pure observers —
         recording no spans, scheduling no events, drawing no
         randomness.  Returns ``listener`` so callers can detach it
         later with :meth:`remove_finish_listener`.
@@ -122,6 +132,7 @@ class SpanRecorder:
                     attrs=attrs)
         self._next_id += 1
         self._spans.append(span)
+        self._open[span.span_id] = span
         return span
 
     def finish(self, span, status=STATUS_OK):
@@ -130,6 +141,8 @@ class SpanRecorder:
             return span
         span.end = self._clock.now
         span.status = status
+        self._open.pop(span.span_id, None)
+        self._unfolded.append(span)
         for listener in self._finish_listeners:
             listener(span)
         return span
@@ -156,24 +169,33 @@ class SpanRecorder:
 
     # -- checkpointing --------------------------------------------------------
 
-    def snapshot_state(self):
-        """Primitive rendering of every span plus the open-span stack.
+    def digest(self):
+        """SHA-256 hex digest of the whole recorder state.
 
-        Attrs pass through :func:`repro.obs.export.jsonable` so the
-        payload is canonically JSON-serialisable.
+        Closed spans are folded into a running hash in finish order,
+        each as one canonical JSON line; the open spans, the context
+        stack and the next span id are rendered in full on top of it.
+        Attrs pass through :func:`repro.obs.export.jsonable`.
         """
         from repro.obs.export import jsonable
+        from repro.sim.checkpoint import canonical_json
 
-        spans = []
-        for span in self._spans:
+        def render(span):
             entry = span.as_dict()
             entry["attrs"] = jsonable(entry["attrs"])
-            spans.append(entry)
-        return {
+            return entry
+
+        for span in self._unfolded:
+            self._hash.update(
+                ("%s\n" % canonical_json(render(span))).encode("utf-8"))
+        self._unfolded = []
+        tail = self._hash.copy()
+        tail.update(canonical_json({
             "next_id": self._next_id,
             "stack": [span.span_id for span in self._stack],
-            "spans": spans,
-        }
+            "open": [render(span) for span in self._open.values()],
+        }).encode("utf-8"))
+        return tail.hexdigest()
 
     # -- introspection --------------------------------------------------------
 

@@ -12,7 +12,6 @@ stable event sequences.
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     read_checkpoint,
-    snapshot_kernel,
     state_digest,
     write_checkpoint,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "shared_pool",
     "should_fallback",
     "shutdown_shared_pool",
-    "snapshot_kernel",
     "state_digest",
     "write_checkpoint",
 ]

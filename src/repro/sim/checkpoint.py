@@ -1,31 +1,25 @@
-"""Deterministic kernel snapshots: a versioned JSON checkpoint format.
+"""Versioned, digest-protected JSON envelopes and the kernel state digest.
 
-A checkpoint captures everything the kernel owns that is pure data —
-clock, RNG streams (main + fault-injector fork), dispatch counters, the
-event heap (including cancelled entries awaiting lazy compaction), the
-full trace log (its records, in append order), the span recorder, the
-metrics registry, and the fault schedule — as one canonical JSON
-envelope protected by SHA-256 digests.
+Every checkpoint artefact — each line of a campaign's ``MANIFEST.jsonl``
+and each file of a sweep manifest — is one canonical JSON envelope
+``{format, kind, meta, state, state_digest, digest}``:
 
-Two digests live in the envelope:
-
-* ``state_digest`` hashes only the kernel state.  Two runs that reach
-  the same cut with identical state produce identical ``state_digest``
-  values, which is what the replay-equivalence harness compares.
+* ``state_digest`` hashes only the payload (``state``).
 * ``digest`` hashes the whole envelope body (meta + state +
-  state_digest) and is the file-integrity check: a corrupted,
-  truncated, or tampered checkpoint fails :func:`read_checkpoint` with
-  a typed :class:`~repro.sim.errors.CheckpointError` instead of
-  crashing deep in deserialization.
+  state_digest) and is the integrity check: a corrupted, truncated, or
+  tampered envelope fails :func:`verify_envelope` with a typed
+  :class:`~repro.sim.errors.CheckpointError` instead of crashing deep
+  in deserialization.
 
-What is *not* captured: event callbacks.  They are arbitrary Python
-closures, so the queue snapshot holds each pending event's time,
-sequence, label, and cancelled flag, and nothing more.  A checkpoint is
-therefore written and verified, never loaded back into a kernel.
-Resume is replay: :mod:`repro.core.resume` re-runs the deterministic
-campaign from zero and demands that it reproduce the recorded
-``state_digest`` chain bit for bit; a finished run's final checkpoint
-supplies its result and metrics without any replay.
+A kernel is never written out, only digested: :func:`state_digest`
+hashes :func:`kernel_state` — clock, RNG streams, dispatch counter,
+metrics, fault schedule, registered extensions, and digests of the event
+heap, the trace log and the span recorder.  The trace and span digests
+fold each record once, so digesting at every stage boundary of a run
+costs time linear in its records.  Event callbacks are closures and
+are not captured.  Resume is replay: :mod:`repro.core.resume` re-runs
+the deterministic campaign from zero and demands that it reproduce the
+recorded ``state_digest`` chain bit for bit.
 """
 
 import hashlib
@@ -40,12 +34,12 @@ from repro.sim.errors import (
 
 #: Bump whenever the envelope or state payload shape changes; readers
 #: reject other versions with :class:`CheckpointVersionError`.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-#: Envelope kinds: each file type declares what it is, so a sweep
-#: replica file can never be mistaken for a kernel snapshot.
-KIND_KERNEL = "kernel-checkpoint"
+#: Envelope kinds: each envelope declares what it is, so a sweep
+#: replica file can never be mistaken for a campaign manifest line.
 KIND_MANIFEST = "checkpoint-manifest"
+KIND_CHECKPOINT = "campaign-checkpoint"
 KIND_SWEEP = "sweep-manifest"
 KIND_REPLICA = "sweep-replica"
 KIND_FAILURE = "sweep-failure"
@@ -127,25 +121,30 @@ def verify_envelope(envelope, kind=None, path=None):
     return envelope
 
 
+def envelope_line(envelope):
+    """One envelope as a single newline-terminated JSON text line.
+
+    The line keeps the payload's own key order (digests are taken over
+    the canonical sorted form regardless), so dict-valued state — e.g.
+    a campaign result's ``infection_vectors`` tally — round-trips in
+    insertion order and a resumed run prints byte-identically.
+    """
+    return json.dumps(envelope, separators=(",", ":"),
+                      allow_nan=False) + "\n"
+
+
 def write_checkpoint(path, envelope):
-    """Atomically write an envelope to ``path``.
+    """Atomically write an envelope to ``path`` as one line.
 
     Write-to-temp + ``os.replace`` means a crash (even SIGKILL) mid-
     write leaves either the previous file or no file — never a
     truncated one; the digest check in :func:`read_checkpoint` is the
     backstop for every other corruption mode.
-
-    The file keeps the payload's own key order (digests are taken over
-    the canonical sorted form regardless), so dict-valued state — e.g.
-    a campaign result's ``infection_vectors`` tally — round-trips in
-    insertion order and a resumed run prints byte-identically.
     """
     tmp = "%s.tmp" % path
     try:
         with open(tmp, "w", encoding="utf-8") as stream:
-            stream.write(json.dumps(envelope, separators=(",", ":"),
-                                    allow_nan=False))
-            stream.write("\n")
+            stream.write(envelope_line(envelope))
         os.replace(tmp, path)
     except OSError as exc:
         # An unwritable or vanished checkpoint directory is a caller-
@@ -174,15 +173,21 @@ def read_checkpoint(path, kind=None):
     return verify_envelope(envelope, kind=kind, path=path)
 
 
-# -- kernel snapshots ----------------------------------------------------------
+# -- kernel state ---------------------------------------------------------------
 
 def kernel_state(kernel):
-    """The raw state payload for one kernel (no envelope, no digests).
+    """The state payload :func:`state_digest` hashes for one kernel.
 
+    The event heap, the trace log and the span recorder enter as
+    digests (:meth:`~repro.sim.events.EventQueue.digest`,
+    :meth:`~repro.sim.trace.TraceLog.digest`,
+    :meth:`~repro.obs.spans.SpanRecorder.digest`), not as entry lists.
     Kernels carrying registered state providers (see
     :meth:`repro.sim.events.Kernel.register_state_provider`) gain an
-    ``extensions`` section — absent otherwise, so checkpoints of plain
-    kernels are byte-identical to the pre-extension format.
+    ``extensions`` section — absent otherwise.
+
+    Pure observation: consumes no randomness, schedules no events,
+    records no trace — digesting never perturbs the seeded run.
     """
     state = {
         "clock": {
@@ -191,9 +196,9 @@ def kernel_state(kernel):
         },
         "rng": kernel.rng.getstate(),
         "dispatched": kernel.dispatched_events,
-        "queue": kernel._queue.snapshot_entries(),
-        "trace": kernel.trace.snapshot_state(),
-        "spans": kernel.spans.snapshot_state(),
+        "queue": kernel._queue.digest(),
+        "trace": kernel.trace.digest(),
+        "spans": kernel.spans.digest(),
         "metrics": kernel.metrics.snapshot(),
         "faults": kernel.faults.snapshot_state(),
     }
@@ -204,19 +209,6 @@ def kernel_state(kernel):
     return state
 
 
-def snapshot_kernel(kernel, meta=None):
-    """Capture a kernel as a validated checkpoint envelope.
-
-    Pure observation: consumes no randomness, schedules no events,
-    records no trace — snapshotting never perturbs the seeded run.
-    """
-    from repro.obs.export import jsonable_ordered
-
-    meta = {str(key): jsonable_ordered(value)
-            for key, value in (meta or {}).items()}
-    return make_envelope(KIND_KERNEL, kernel_state(kernel), meta=meta)
-
-
 def state_digest(kernel):
-    """The state digest a checkpoint of ``kernel`` would record now."""
+    """SHA-256 hex digest of ``kernel``'s state: a checkpoint's identity."""
     return payload_digest(kernel_state(kernel))

@@ -1,8 +1,11 @@
 """Event queue and kernel: the heart of the discrete-event simulation."""
 
+import hashlib
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
+from operator import attrgetter, itemgetter
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
@@ -11,6 +14,10 @@ from repro.sim.errors import ScheduleInPastError, SimulationError
 from repro.sim.faults import FaultInjector
 from repro.sim.rng import DeterministicRandom
 from repro.sim.trace import TraceLog
+
+_SEQUENCE = itemgetter(1)
+_CANCELLED = attrgetter("cancelled")
+_LABEL = attrgetter("label")
 
 
 class Event:
@@ -230,24 +237,28 @@ class EventQueue:
             heappop(heap)
         return heap[0][0] if heap else None
 
-    def snapshot_entries(self):
-        """Primitive description of the heap for a checkpoint.
+    def digest(self):
+        """SHA-256 hex digest of the heap, for a checkpoint.
 
-        Entries are emitted in canonical ``(time, sequence)`` order —
-        not raw heap-array order — so equivalent queues snapshot
+        Entries are hashed in sequence order (sequences are unique per
+        queue) — not raw heap-array order — so equivalent queues digest
         identically; cancelled entries that have not yet surfaced (or
-        been compacted away) are included with their flag, so the
-        snapshot pins the compaction accounting too.  Callbacks are
-        not serialisable: only the label travels.
+        been compacted away) count with their flag, and so does the
+        push counter, so the digest pins the compaction accounting too.
+        Callbacks are not data: only each event's label is hashed.
+        Times and sequences are packed as little-endian binary, which
+        keeps a digest at every checkpoint cheap next to the run.
         """
-        return {
-            "sequence": self._sequence,
-            "entries": [
-                {"time": time, "sequence": sequence,
-                 "label": event.label, "cancelled": event.cancelled}
-                for time, sequence, event in sorted(self._heap)
-            ],
-        }
+        entries = sorted(self._heap, key=_SEQUENCE)
+        count = len(entries)
+        times, sequences, events = zip(*entries) if entries else ((),) * 3
+        digest = hashlib.sha256(struct.pack(
+            "<2q%dd%dq" % (count, count), self._sequence, count,
+            *times, *sequences))
+        digest.update(bytes(map(_CANCELLED, events)))
+        digest.update("\n".join(map(_LABEL, events))
+                      .encode("utf-8", "backslashreplace"))
+        return digest.hexdigest()
 
     def _note_cancelled(self):
         """Bookkeeping from :meth:`Event.cancel`: maybe compact.
@@ -382,9 +393,6 @@ class Kernel:
         self._queue = EventQueue()
         self._dispatched = 0
         self._events_metric = self.metrics.counter("sim.events_dispatched")
-        self._ckpt_hook = None
-        self._ckpt_every = 0
-        self._ckpt_countdown = 0
         #: Named components whose state travels inside kernel
         #: checkpoints (see :meth:`register_state_provider`).
         self._state_providers = {}
@@ -473,8 +481,8 @@ class Kernel:
         """Attach a named component whose state rides in checkpoints.
 
         ``provider`` must expose ``snapshot_state()`` (a JSON-safe
-        payload, captured without perturbing the run).  Snapshots taken
-        by :func:`repro.sim.checkpoint.kernel_state` gain an
+        payload, captured without perturbing the run).  The state
+        :func:`repro.sim.checkpoint.kernel_state` renders gains an
         ``extensions`` section mapping each registered name to its
         provider's payload, so the provider's state is part of every
         state digest the replay resume verifies.
@@ -495,31 +503,6 @@ class Kernel:
         """Registered provider names, sorted (read-only view)."""
         return sorted(self._state_providers)
 
-    def set_checkpoint_hook(self, hook, every_events=1000):
-        """Install (or clear) a periodic auto-checkpoint hook.
-
-        ``hook(kernel)`` fires from inside :meth:`run` after every
-        ``every_events`` dispatched events, with the dispatch counters
-        flushed so a snapshot taken inside the hook is exact.  The hook
-        must be a pure observer — it may not schedule events or draw
-        randomness, or it would perturb the seeded run it is trying to
-        capture.  Pass ``hook=None`` to clear.
-        """
-        if hook is None:
-            self._ckpt_hook = None
-            self._ckpt_every = 0
-            self._ckpt_countdown = 0
-            return
-        if isinstance(every_events, bool) or not isinstance(every_events, int):
-            raise TypeError("every_events must be an integer, got %r"
-                            % (every_events,))
-        if every_events < 1:
-            raise ValueError("every_events must be >= 1, got %r"
-                             % (every_events,))
-        self._ckpt_hook = hook
-        self._ckpt_every = every_events
-        self._ckpt_countdown = every_events
-
     def run(self, until=None, max_events=DEFAULT_MAX_EVENTS):
         """Dispatch events until the queue drains (or ``until`` seconds).
 
@@ -536,21 +519,17 @@ class Kernel:
         A popped firing of an idle periodic task starts a skip window
         (:meth:`EventQueue.skip_idle`): its idle firings count as
         dispatched events without a callback, the clock moves to the
-        last of them, and the budget and checkpoint hook see them as if
-        each had been dispatched.
+        last of them, and the budget sees them as if each had been
+        dispatched.
         """
         if until is not None and not math.isfinite(until):
             raise ValueError("run() until must be a finite number of "
                              "seconds, got %r" % (until,))
         dispatched = 0
-        flushed = 0
         last_label = None
         queue = self._queue
         pop_due = queue.pop_due
         advance_to = self.clock.advance_to
-        # Hoisted: installing a hook mid-run takes effect on the next
-        # run() call, which is the granularity checkpointing works at.
-        ckpt_hook = self._ckpt_hook
         try:
             while True:
                 event = pop_due(until)
@@ -569,10 +548,8 @@ class Kernel:
                 count = 0
                 task = event.task
                 if task is not None and task.idle():
-                    limit = max_events - dispatched
-                    if ckpt_hook is not None:
-                        limit = min(limit, self._ckpt_countdown)
-                    count, time, label = queue.skip_idle(event, until, limit)
+                    count, time, label = queue.skip_idle(
+                        event, until, max_events - dispatched)
                     if count:
                         advance_to(time)
                         last_label = label
@@ -582,23 +559,12 @@ class Kernel:
                     last_label = event.label
                     count = 1
                 dispatched += count
-                if ckpt_hook is not None:
-                    self._ckpt_countdown -= count
-                    if self._ckpt_countdown <= 0:
-                        self._ckpt_countdown = self._ckpt_every
-                        # Flush the batched counters so the hook sees
-                        # (and can snapshot) the exact dispatch state.
-                        self._dispatched += dispatched
-                        self._events_metric.value += dispatched
-                        flushed += dispatched
-                        dispatched = 0
-                        ckpt_hook(self)
         finally:
             self._dispatched += dispatched
             self._events_metric.value += dispatched
         if until is not None and until > self.clock.now:
             self.clock.advance_to(until)
-        return flushed + dispatched
+        return dispatched
 
     def run_for(self, duration, max_events=DEFAULT_MAX_EVENTS):
         """Run for ``duration`` seconds of virtual time from now.

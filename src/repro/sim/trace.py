@@ -9,7 +9,13 @@ what to whom, when, with what details.
 is one linear scan over it.  A campaign replica writes a few hundred to
 a few thousand records and queries them at most a handful of times, so
 the scan is cheap and no index pays for itself.
+
+:meth:`TraceLog.digest` folds the records into a running SHA-256 from a
+cursor, so hashing the log at every checkpoint of a run costs one pass
+over it in total rather than one pass per checkpoint.
 """
+
+import hashlib
 
 
 class TraceRecord:
@@ -50,12 +56,35 @@ def _matches(value, pattern):
     return value == pattern
 
 
+def _stable(value):
+    """Process-independent rendering of a trace-detail value.
+
+    ``repr`` of a primitive is stable across interpreters; the default
+    ``repr`` of an arbitrary object embeds its memory address, which
+    would make digests differ between workers — so objects render as
+    their type name.
+    """
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return repr(value)
+    if isinstance(value, dict):
+        items = sorted((str(k), _stable(v)) for k, v in value.items())
+        return "{%s}" % ",".join("%s=%s" % item for item in items)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        parts = [_stable(v) for v in value]
+        if isinstance(value, (set, frozenset)):
+            parts = sorted(parts)
+        return "[%s]" % ",".join(parts)
+    return "<%s>" % type(value).__name__
+
+
 class TraceLog:
     """Append-only record of everything that happened in a simulation."""
 
     def __init__(self, clock):
         self._clock = clock
         self._records = []
+        self._hash = hashlib.sha256()
+        self._folded = 0
 
     # -- recording ---------------------------------------------------------------
 
@@ -65,25 +94,37 @@ class TraceLog:
         self._records.append(entry)
         return entry
 
-    # -- checkpointing -----------------------------------------------------------
+    # -- digest ----------------------------------------------------------------
 
-    def snapshot_state(self):
-        """Primitive-only rendering of the full log for a checkpoint.
+    def digest(self):
+        """SHA-256 hex digest of every record appended so far.
 
-        Record details pass through :func:`repro.obs.export.jsonable`,
-        so the payload is canonically JSON-serialisable.
+        Each record hashes as one ``time|actor|action|target|detail``
+        line.  Records are folded into a running hash from a cursor, so
+        repeated calls during a run (one per checkpoint) cost one pass
+        over the log in total.  A record is hashed as it stands when it
+        is first folded.
         """
-        from repro.obs.export import jsonable
-
-        return {
-            "records": [
-                {"time": record.time, "actor": record.actor,
-                 "action": record.action,
-                 "target": jsonable(record.target),
-                 "detail": jsonable(record.detail)}
-                for record in self._records
-            ],
-        }
+        # Feed the hash in ~64 KiB batches: one encode+update per buffer
+        # instead of per record.  UTF-8 encoding distributes over
+        # concatenation, so the digest is that of the per-line feed.
+        update = self._hash.update
+        buffered = []
+        buffered_bytes = 0
+        for record in self._records[self._folded:]:
+            line = "%r|%s|%s|%s|%s\n" % (record.time, record.actor,
+                                         record.action, record.target,
+                                         _stable(record.detail))
+            buffered.append(line)
+            buffered_bytes += len(line)
+            if buffered_bytes >= 65536:
+                update("".join(buffered).encode("utf-8", "backslashreplace"))
+                buffered = []
+                buffered_bytes = 0
+        if buffered:
+            update("".join(buffered).encode("utf-8", "backslashreplace"))
+        self._folded = len(self._records)
+        return self._hash.hexdigest()
 
     # -- container protocol ------------------------------------------------------
 

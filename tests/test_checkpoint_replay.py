@@ -1,20 +1,23 @@
 """Differential replay harness for the checkpoint format.
 
-Three layers of evidence that a checkpoint is a faithful cut of a run:
+Four layers of evidence that a checkpoint is a faithful cut of a run:
 
-1. **Pure, complete snapshots** — taking a snapshot perturbs nothing,
-   and an envelope read back from its JSON form carries the same
-   canonical state and digests, on hand-built busy kernels and on
+1. **Pure, complete state digests** — digesting a kernel perturbs
+   nothing, and an envelope read back from its JSON form carries the
+   same canonical state and digests, on hand-built busy kernels and on
    Hypothesis-generated ones.
 2. **Cut-and-continue equivalence** — a run cut by a budget abort
    (which puts the popped event back via :meth:`EventQueue.restore`),
-   snapshotted, and continued on the same kernel reaches the exact
-   state digest of the run that was never interrupted.
+   digested, and continued on the same kernel reaches the exact state
+   digest of the run that was never interrupted.
 3. **Campaign conformance** — every campaign checkpoints at every
-   kill-chain stage boundary; each recorded envelope carries the state
-   digest and event count its manifest entry names, and an interrupted
-   run resumes through the replay-verification protocol in
+   kill-chain stage boundary; each manifest line carries the state
+   digest and event count a live kernel has at that boundary, and an
+   interrupted run resumes through the replay-verification protocol in
    :mod:`repro.core.resume`.
+4. **Crash safety** — a torn last manifest line is dropped and
+   overwritten, any other bad line is a typed error, and a diverged
+   resume leaves the manifest byte for byte as it found it.
 
 The self-rescheduling "beacon" harness used throughout keeps all of its
 state in kernel-owned structures (clock, RNG, trace, metrics), so a
@@ -40,12 +43,11 @@ from repro.obs.export import export_digest
 from repro.sim import DeterministicRandom, Kernel
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
-    KIND_KERNEL,
     canonical_json,
+    kernel_state,
     make_envelope,
     payload_digest,
     read_checkpoint,
-    snapshot_kernel,
     state_digest,
     verify_envelope,
     write_checkpoint,
@@ -58,6 +60,9 @@ from repro.sim.errors import (
 )
 
 SEED = 20130708
+
+#: Envelope kind of the kernel-state files these tests write.
+KIND_STATE = "test-kernel-state"
 
 
 # -- the beacon harness --------------------------------------------------------
@@ -110,15 +115,15 @@ def build_busy_kernel(seed=7, limit=25, junk=200, cancel=170):
     return kernel
 
 
-# -- pure, complete snapshots --------------------------------------------------
+# -- pure, complete state digests ---------------------------------------------
 
 def test_snapshot_is_pure_observation():
-    """Taking a snapshot must not perturb the run it captures."""
+    """Digesting a kernel must not perturb the run it captures."""
     kernel = build_busy_kernel()
     kernel.run(until=10.0)
     before = state_digest(kernel)
-    snapshot_kernel(kernel, meta={"n": 1})
-    snapshot_kernel(kernel)
+    kernel_state(kernel)
+    kernel_state(kernel)
     assert state_digest(kernel) == before
     witness = build_busy_kernel()
     witness.run(until=10.0)
@@ -128,25 +133,38 @@ def test_snapshot_is_pure_observation():
 
 
 def test_lazy_compaction_keeps_snapshots_equivalent():
-    """A snapshot taken *with* garbage in the heap records exactly the
+    """A digest taken *with* garbage in the heap covers exactly the
     surviving cancelled entries and the full push count, so two runs
     whose compaction histories differ cannot share a state digest."""
-    kernel = Kernel(seed=3)
-    events = [kernel.call_later(10.0 + index, _noop, "e:%d" % index)
-              for index in range(200)]
-    for event in events[:150]:
-        event.cancel()  # 150 > live 50 and > COMPACT_MIN_GARBAGE
-    snapshot = kernel._queue.snapshot_entries()
+
+    def build(cancelled):
+        kernel = Kernel(seed=3)
+        events = [kernel.call_later(10.0 + index, _noop, "e:%d" % index)
+                  for index in range(200)]
+        for event in events[:cancelled]:
+            event.cancel()
+        return kernel
+
+    kernel = build(150)  # 150 > live 50 and > COMPACT_MIN_GARBAGE
+    queue = kernel._queue
     # Compaction fired at the 101st cancel (garbage 101 > live 99),
     # sweeping that garbage; the remaining 49 cancels accumulated
     # afterwards and stay in the heap below the next trigger point.
-    cancelled = [e for e in snapshot["entries"] if e["cancelled"]]
-    assert len(snapshot["entries"]) == 99
+    cancelled = [event for _, _, event in queue._heap if event.cancelled]
+    assert len(queue._heap) == 99
     assert len(cancelled) == 49
-    assert len(kernel._queue) == 50
+    assert len(queue) == 50
     # The sequence counter still reflects every push ever made.
-    assert snapshot["sequence"] == 200
-    assert snapshot_kernel(kernel)["state"]["queue"] == snapshot
+    assert queue._sequence == 200
+    assert kernel_state(kernel)["queue"] == queue.digest()
+    assert build(150)._queue.digest() == queue.digest()
+    # The same live events with the garbage compacted away, as a
+    # different cancel history would leave them, digest differently.
+    swept = build(150)._queue
+    swept._heap = [entry for entry in swept._heap
+                   if not entry[2].cancelled]
+    assert len(swept) == len(queue)
+    assert swept.digest() != queue.digest()
 
 
 def test_budget_abort_then_restore_continues_identically():
@@ -164,8 +182,7 @@ def test_budget_abort_then_restore_continues_identically():
     with pytest.raises(SimulationError):
         kernel.run(until=500.0, max_events=7)
     assert kernel.pending_events == 1  # the aborted event went back
-    envelope = snapshot_kernel(kernel)
-    assert envelope["state"]["dispatched"] == 7
+    assert kernel_state(kernel)["dispatched"] == 7
     kernel.run(until=500.0)
     assert state_digest(kernel) == final
     assert trace_digest(kernel.trace) == trace_digest(reference.trace)
@@ -177,7 +194,7 @@ def test_restored_rng_continues_the_stream():
     forks the same child streams."""
     kernel = Kernel(seed=99)
     [kernel.rng.uniform(0, 1) for _ in range(10)]
-    state = json.loads(json.dumps(snapshot_kernel(kernel)["state"]["rng"]))
+    state = json.loads(json.dumps(kernel_state(kernel)["rng"]))
     upcoming = [kernel.rng.uniform(0, 1) for _ in range(5)]
     fork_value = kernel.rng.fork("child").uniform(0, 1)
     generator = random.Random()
@@ -195,12 +212,13 @@ def envelope_on_disk(tmp_path):
     kernel = build_busy_kernel()
     kernel.run(until=20.0)
     path = str(tmp_path / "kernel.json")
-    write_checkpoint(path, snapshot_kernel(kernel, meta={"k": 1}))
+    write_checkpoint(path, make_envelope(KIND_STATE, kernel_state(kernel),
+                                         meta={"k": 1}))
     return path
 
 
 def test_read_checkpoint_round_trip(envelope_on_disk):
-    envelope = read_checkpoint(envelope_on_disk, kind=KIND_KERNEL)
+    envelope = read_checkpoint(envelope_on_disk, kind=KIND_STATE)
     assert envelope["format"] == CHECKPOINT_VERSION
     assert envelope["meta"] == {"k": 1}
     witness = build_busy_kernel()
@@ -241,16 +259,32 @@ def test_version_mismatch_raises_version_error(envelope_on_disk):
     assert excinfo.value.found == CHECKPOINT_VERSION + 1
 
 
+def _set_format(path, version):
+    with open(path, encoding="utf-8") as stream:
+        envelope = json.load(stream)
+    envelope["format"] = version
+    with open(path, "w", encoding="utf-8") as stream:
+        json.dump(envelope, stream)
+
+
 def test_format_1_envelope_raises_version_error(envelope_on_disk):
     """Format 1 stored the trace with its index and eviction fields;
     such a file is refused by version, not replayed into divergence."""
-    envelope = json.load(open(envelope_on_disk, encoding="utf-8"))
-    envelope["format"] = 1
-    with open(envelope_on_disk, "w", encoding="utf-8") as stream:
-        json.dump(envelope, stream)
+    _set_format(envelope_on_disk, 1)
     with pytest.raises(CheckpointVersionError) as excinfo:
         read_checkpoint(envelope_on_disk)
-    assert (excinfo.value.expected, excinfo.value.found) == (2, 1)
+    assert (excinfo.value.expected, excinfo.value.found) == \
+        (CHECKPOINT_VERSION, 1)
+
+
+def test_format_2_envelope_raises_version_error(envelope_on_disk):
+    """Format 2 hashed the whole trace and span lists into the state
+    digest; its digests mean something else, so it is refused too."""
+    _set_format(envelope_on_disk, 2)
+    with pytest.raises(CheckpointVersionError) as excinfo:
+        read_checkpoint(envelope_on_disk)
+    assert (excinfo.value.expected, excinfo.value.found) == \
+        (CHECKPOINT_VERSION, 2)
 
 
 def test_tampered_state_raises_digest_error(envelope_on_disk):
@@ -283,20 +317,28 @@ def test_missing_fields_are_rejected():
         verify_envelope(["not", "a", "dict"])
 
 
+class _ValueProvider:
+    def __init__(self, value):
+        self.value = value
+
+    def snapshot_state(self):
+        return {"value": self.value}
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_state_raises_checkpoint_error(value):
     """Canonical JSON has no NaN/Infinity, so a kernel whose state holds
     one cannot be checkpointed; that surfaces as the typed error."""
     kernel = Kernel(seed=1)
-    kernel.metrics.set_gauge("test.gauge", value)
+    kernel.register_state_provider("test", _ValueProvider(value))
     with pytest.raises(CheckpointError, match="no canonical JSON form"):
-        snapshot_kernel(kernel)
+        state_digest(kernel)
 
 
 def test_write_checkpoint_is_atomic(tmp_path):
     """No ``.tmp`` residue, and the content is one canonical line."""
     path = str(tmp_path / "atomic.json")
-    write_checkpoint(path, make_envelope(KIND_KERNEL, {"x": 1}))
+    write_checkpoint(path, make_envelope(KIND_STATE, {"x": 1}))
     assert not os.path.exists(path + ".tmp")
     text = open(path, encoding="utf-8").read()
     assert text.endswith("\n")
@@ -334,16 +376,16 @@ def _build_from_program(program):
 @settings(max_examples=25, deadline=None)
 @given(kernel_programs())
 def test_property_snapshot_load_snapshot_is_identity(program):
-    """A snapshot survives its JSON form: loaded back, it verifies with
-    the same canonical state, and a second snapshot of the untouched
-    kernel matches it digest for digest."""
+    """A kernel-state envelope survives its JSON form: loaded back, it
+    verifies with the same canonical state, and a second envelope of
+    the untouched kernel matches it digest for digest."""
     kernel = _build_from_program(program)
-    envelope = snapshot_kernel(kernel)
+    envelope = make_envelope(KIND_STATE, kernel_state(kernel))
     loaded = verify_envelope(json.loads(json.dumps(envelope)),
-                             kind=KIND_KERNEL)
+                             kind=KIND_STATE)
     assert (canonical_json(loaded["state"])
             == canonical_json(envelope["state"]))
-    again = snapshot_kernel(kernel)
+    again = make_envelope(KIND_STATE, kernel_state(kernel))
     assert again["digest"] == loaded["digest"]
     assert again["state_digest"] == state_digest(kernel)
 
@@ -352,7 +394,7 @@ def test_property_snapshot_load_snapshot_is_identity(program):
 @given(seed=st.integers(0, 2 ** 16), cut=st.integers(0, 25))
 def test_property_resume_at_any_event_index_is_equivalent(seed, cut):
     """Cut the beacon run after ``cut`` events (a budget abort),
-    snapshot, continue the same kernel: the final state digest must
+    digest, continue the same kernel: the final state digest must
     equal the uninterrupted run's — for every cut index."""
     limit = 20
     reference = Kernel(seed=seed)
@@ -366,8 +408,7 @@ def test_property_resume_at_any_event_index_is_equivalent(seed, cut):
         kernel.run(until=400.0, max_events=cut)
     except SimulationError:
         pass  # cut short by the budget
-    envelope = snapshot_kernel(kernel)
-    assert envelope["state"]["dispatched"] == min(
+    assert kernel_state(kernel)["dispatched"] == min(
         cut, reference.dispatched_events)
     kernel.run(until=400.0)
     assert state_digest(kernel) == final
@@ -382,25 +423,37 @@ def _campaign_factory(name):
     return factory
 
 
+def _live_stage_chain(factory):
+    """Run a campaign with no checkpointer attached, recording ``(tag,
+    events, state_digest)`` at every stage boundary and at the end."""
+    campaign = factory()
+    kernel = campaign.world.kernel
+    chain = []
+    kernel.spans.on_finish(lambda span: chain.append(
+        ("stage:%s" % span.name, kernel.dispatched_events,
+         state_digest(kernel))))
+    campaign.run()
+    chain.append(("final", kernel.dispatched_events, state_digest(kernel)))
+    return chain
+
+
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_campaign_stage_checkpoints_restore_to_recorded_digests(
         name, tmp_path):
-    """Every stage-boundary envelope of every campaign carries exactly
-    the state digest and event count the manifest recorded for it, and
-    the final one is the live kernel's whole state."""
+    """Every campaign's manifest holds one verified line per stage
+    boundary, and each line carries exactly the event count and state
+    digest a live, unrecorded kernel has at that boundary."""
     directory = str(tmp_path / name)
     report = run_checkpointed(_campaign_factory(name), directory,
                               meta={"campaign": name, "seed": SEED})
-    store = CheckpointStore(directory).load()
-    entries = store.entries()
+    assert os.listdir(directory) == [CheckpointStore.MANIFEST]
+    entries = CheckpointStore(directory).load().entries()
     assert len(entries) >= 3  # several stages plus the final checkpoint
     assert entries[-1]["tag"] == "final"
-    for entry in entries:
-        state = store.read(entry)["state"]
-        assert payload_digest(state) == entry["state_digest"]
-        assert state["dispatched"] == entry["events"]
-    final = store.read(entries[-1])
-    assert final["state_digest"] == state_digest(report.kernel)
+    assert [(e["tag"], e["events"], e["state_digest"]) for e in entries] \
+        == _live_stage_chain(_campaign_factory(name))
+    assert entries[-1]["state_digest"] == state_digest(report.kernel)
+    assert entries[-1]["events"] == report.kernel.dispatched_events
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
@@ -465,7 +518,116 @@ def test_finished_run_short_circuits_without_replay(tmp_path):
     assert report.result == jsonable(baseline.result)
     assert report.metrics == baseline.kernel.metrics.snapshot()
     assert report.replayed_events == baseline.kernel.dispatched_events
-    store = CheckpointStore(directory).load()
-    final = store.read(store.final_entry())
-    assert payload_digest(final["state"]) == final["state_digest"]
+    final = CheckpointStore(directory).load().final_entry()
     assert final["state_digest"] == state_digest(baseline.kernel)
+    assert final["events"] == baseline.kernel.dispatched_events
+
+
+# -- crash safety --------------------------------------------------------------
+
+def _manifest(directory):
+    return os.path.join(directory, CheckpointStore.MANIFEST)
+
+
+def _read_bytes(path):
+    with open(path, "rb") as stream:
+        return stream.read()
+
+
+def _seeded_shamoon(seed):
+    def factory():
+        return CAMPAIGNS["shamoon"](seed=seed,
+                                    **dict(QUICK_PARAMS["shamoon"]))
+
+    return factory
+
+
+def test_diverged_resume_leaves_manifest_untouched(tmp_path):
+    """A wrong-seed resume raises at the first mismatching checkpoint
+    and writes nothing, so a later right-seed resume still replays to
+    the recorded run's result instead of short-circuiting to the wrong
+    one."""
+    directory = str(tmp_path / "diverge")
+    baseline = run_checkpointed(_seeded_shamoon(1), directory)
+    interrupt_after(directory, keep=2)
+    recorded = _read_bytes(_manifest(directory))
+    with pytest.raises(CheckpointError, match="diverged"):
+        resume_checkpointed(_seeded_shamoon(2), directory)
+    assert _read_bytes(_manifest(directory)) == recorded
+    report = resume_checkpointed(_seeded_shamoon(1), directory)
+    assert not report.short_circuited
+    assert report.verified == 2
+    assert report.result == baseline.result
+
+
+def test_replay_with_fewer_checkpoints_raises_before_final(tmp_path):
+    """A replay that ends before reproducing every recorded checkpoint
+    is a different simulation: it raises instead of writing ``final``."""
+    directory = str(tmp_path / "short")
+    run_checkpointed(_campaign_factory("shamoon"), directory)
+    interrupt_after(directory, keep=3)
+    recorded = _read_bytes(_manifest(directory))
+    with pytest.raises(CheckpointError, match="diverged"):
+        resume_checkpointed(_campaign_factory("shamoon"), directory,
+                            run=lambda campaign: None)
+    assert _read_bytes(_manifest(directory)) == recorded
+
+
+@pytest.mark.parametrize("torn", [b'{"format":3,"kind":"camp',
+                                  b'{"format":3,"kind":"camp\n'],
+                         ids=["no-newline", "not-json"])
+def test_torn_last_line_is_dropped_and_resume_appends_after_it(tmp_path,
+                                                               torn):
+    """A crash mid-append leaves a last line with no newline (or, with
+    one, that is not JSON).  Loading drops it, and a resume truncates
+    it away and appends after the intact prefix, ending on exactly the
+    manifest an uninterrupted run writes."""
+    directory = str(tmp_path / "torn")
+    baseline = run_checkpointed(_campaign_factory("shamoon"), directory)
+    complete = _read_bytes(_manifest(directory))
+    interrupt_after(directory, keep=3)
+    with open(_manifest(directory), "ab") as stream:
+        stream.write(torn)
+    assert len(CheckpointStore(directory).load().entries()) == 3
+    report = resume_checkpointed(_campaign_factory("shamoon"), directory)
+    assert report.verified == 3
+    assert report.result == baseline.result
+    assert _read_bytes(_manifest(directory)) == complete
+
+
+@pytest.mark.parametrize("damage", ["garbage", "tamper"])
+def test_corrupted_middle_line_raises_checkpoint_error(tmp_path, damage):
+    directory = str(tmp_path / "corrupt")
+    run_checkpointed(_campaign_factory("shamoon"), directory)
+    lines = _read_bytes(_manifest(directory)).split(b"\n")
+    if damage == "garbage":
+        lines[2] = b"\x00 not json"
+    else:
+        lines[2] = lines[2].replace(b'"events":', b'"events":1', 1)
+    with open(_manifest(directory), "wb") as stream:
+        stream.write(b"\n".join(lines))
+    with pytest.raises(CheckpointError, match="line 3"):
+        CheckpointStore(directory).load()
+    with pytest.raises(CheckpointError):
+        resume_checkpointed(_campaign_factory("shamoon"), directory)
+
+
+def test_format_2_directory_raises_typed_error(tmp_path):
+    """A format-2 directory (``MANIFEST.json`` plus one snapshot file per
+    checkpoint) has no ``MANIFEST.jsonl``; a format-2 line in a
+    ``MANIFEST.jsonl`` is refused by version."""
+    directory = tmp_path / "v2"
+    directory.mkdir()
+    legacy = make_envelope("checkpoint-manifest",
+                           {"meta": {}, "every_events": None,
+                            "checkpoints": []})
+    legacy["format"] = 2
+    (directory / "MANIFEST.json").write_text(json.dumps(legacy))
+    with pytest.raises(CheckpointError, match="cannot read"):
+        resume_checkpointed(_campaign_factory("shamoon"), str(directory))
+    header = make_envelope("checkpoint-manifest", {})
+    header["format"] = 2
+    (directory / CheckpointStore.MANIFEST).write_text(
+        json.dumps(header) + "\n")
+    with pytest.raises(CheckpointVersionError):
+        resume_checkpointed(_campaign_factory("shamoon"), str(directory))

@@ -200,7 +200,7 @@ def test_campaign_checkpoint_then_resume_round_trips(tmp_path, capsys):
             "--checkpoint-dir", directory]
     assert main(args) == 0
     first = capsys.readouterr().out
-    assert (tmp_path / "ckpt" / "MANIFEST.json").exists()
+    assert (tmp_path / "ckpt" / "MANIFEST.jsonl").exists()
     assert main(args + ["--resume"]) == 0
     second = capsys.readouterr().out
     assert "resume: verified" in second
@@ -261,17 +261,23 @@ def test_campaign_resume_replays_an_interrupted_run(tmp_path, capsys):
     assert second.splitlines()[1:] == first.splitlines()
 
 
-def test_campaign_checkpoint_every_flag(tmp_path):
-    import json as _json
-
-    directory = tmp_path / "periodic"
+def test_campaign_checkpoint_dir_holds_one_manifest_file(tmp_path):
+    """A campaign checkpoint directory is one JSONL manifest: a header,
+    one line per stage boundary, and a final line; there is no
+    ``--checkpoint-every`` flag."""
+    directory = tmp_path / "ckpt"
     assert main(["shamoon", "--hosts", "10", "--seed", "4",
-                 "--checkpoint-dir", str(directory),
-                 "--checkpoint-every", "10"]) == 0
-    manifest = _json.loads((directory / "MANIFEST.json").read_text())
-    tags = [entry["tag"] for entry in manifest["state"]["checkpoints"]]
-    assert "periodic" in tags
+                 "--checkpoint-dir", str(directory)]) == 0
+    assert [path.name for path in directory.iterdir()] == ["MANIFEST.jsonl"]
+    lines = [json.loads(line) for line in
+             (directory / "MANIFEST.jsonl").read_text().splitlines()]
+    assert lines[0]["kind"] == "checkpoint-manifest"
+    tags = [line["state"]["tag"] for line in lines[1:]]
+    assert all(tag.startswith("stage:") for tag in tags[:-1])
     assert tags[-1] == "final"
+    with pytest.raises(SystemExit):
+        main(["shamoon", "--hosts", "10", "--checkpoint-dir",
+              str(directory), "--checkpoint-every", "10"])
 
 
 def test_resume_without_checkpoint_dir_is_rejected():

@@ -126,6 +126,35 @@ def test_counter_rejects_nan_increment():
     assert counter.value == 2
 
 
+def test_counter_rejects_infinite_increment():
+    counter = Counter("events.seen")
+    counter.inc(2)
+    with pytest.raises(ValueError, match="events.seen"):
+        counter.inc(float("inf"))
+    assert counter.value == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_gauge_rejects_non_finite_values(value):
+    gauge = Gauge("pending.entries")
+    gauge.set(4)
+    for move in (gauge.set, gauge.inc, gauge.dec):
+        with pytest.raises(ValueError, match="pending.entries"):
+            move(value)
+    assert gauge.value == 4
+
+
+def test_histogram_rejects_non_finite_observation():
+    hist = Histogram("entry.bytes", bounds=(1.0, 10.0))
+    hist.observe(3.0)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="entry.bytes"):
+            hist.observe(value)
+    assert hist.bucket_counts() == [0, 1, 0]
+    assert (hist.count, hist.sum) == (1, 3.0)
+
+
 def test_gauge_moves_both_ways():
     gauge = Gauge("g")
     gauge.set(10)
