@@ -22,8 +22,7 @@ def _arm(world, label, faithful_bug):
     stats = {"files": 0, "intended": 0, "overwritten": 0, "unusable": 0}
     for index in range(HOSTS_PER_ARM):
         host = world.make_host("%s-%03d" % (label, index))
-        seed_user_documents(host, rng.fork(str(index)), docs_per_user=5,
-                            max_doc_size=512 * 1024)
+        seed_user_documents(host, rng.fork(str(index)), docs_per_user=5)
         wipe = run_wiper(host, driver, faithful_bug=faithful_bug)
         stats["files"] += wipe["files_overwritten"]
         stats["intended"] += wipe["bytes_intended"]

@@ -65,8 +65,9 @@ class SignatureEngine:
         findings = []
         rules = self.active_rules(at_time)
         for record in host.vfs.walk("c:", raw=raw):
+            data = record.data
             for signature in rules:
-                if signature.matches_file(record.path, record.data):
+                if signature.matches_file(record.path, data):
                     findings.append((signature, record.path))
         return findings
 

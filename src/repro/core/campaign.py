@@ -197,18 +197,13 @@ class ShamoonWiperCampaign:
     def __init__(self, seed=2012, host_count=2_000, docs_per_host=3,
                  start=datetime(2012, 8, 1, tzinfo=timezone.utc),
                  end=datetime(2012, 8, 20, tzinfo=timezone.utc),
-                 shamoon_config=None, max_doc_size=None):
-        if max_doc_size is None and host_count > 5_000:
-            # Org-scale runs must keep per-host corpora small or the
-            # zero-filled documents alone dwarf physical memory.
-            max_doc_size = 8 * 1024
+                 shamoon_config=None):
         self.world = CampaignWorld(seed=seed)
         self.sink = ShamoonReportSink()
         self.world.internet.register_site("home.attacker.net", self.sink.server)
         self.lan, self.hosts = build_office_lan(
             self.world, "aramco", host_count, docs_per_host=docs_per_host,
             microphone_fraction=0.0, bluetooth_fraction=0.0,
-            max_doc_size=max_doc_size,
         )
         config = shamoon_config or ShamoonConfig(
             report_domain="home.attacker.net")

@@ -35,15 +35,14 @@ _DOC_TEMPLATES = (
 )
 
 
-def seed_user_documents(host, rng, users=1, docs_per_user=6,
-                        max_doc_size=None):
+def seed_user_documents(host, rng, users=1, docs_per_user=6):
     """Populate a host with a believable user file corpus.
 
     Returns the number of files written.  Contents are zero-filled at
     template-scaled sizes; what matters to every experiment is names,
-    extensions, folders, and byte counts.  ``max_doc_size`` caps sizes —
-    org-scale scenarios (30,000 hosts) must not hold gigabytes of zero
-    buffers in memory.
+    extensions, folders, and byte counts.  Each document is written
+    with ``size=`` and no bytes, so it costs a count, not a buffer, and
+    org-scale scenarios (30,000 hosts) keep their full sizes.
     """
     written = 0
     for user_index in range(users):
@@ -51,12 +50,10 @@ def seed_user_documents(host, rng, users=1, docs_per_user=6,
         for doc_index in range(docs_per_user):
             folder, pattern, ext, size = rng.choice(list(_DOC_TEMPLATES))
             size = int(size * rng.uniform(0.5, 1.5))
-            if max_doc_size is not None:
-                size = min(size, max_doc_size)
             path = "%s\\%s\\%s.%s" % (
                 user_root, folder, pattern % (written,), ext,
             )
-            host.vfs.write(path, b"\x00" * size, origin="user")
+            host.vfs.write(path, size=size, origin="user")
             written += 1
     return written
 
@@ -90,8 +87,7 @@ class CampaignWorld:
 def build_office_lan(world, name, host_count, os_version="7",
                      file_and_print_sharing=True, air_gapped=False,
                      docs_per_host=6, microphone_fraction=0.2,
-                     bluetooth_fraction=0.2, hostname_prefix=None,
-                     max_doc_size=None):
+                     bluetooth_fraction=0.2, hostname_prefix=None):
     """A typical organisation LAN of ``host_count`` seeded machines."""
     prefix = hostname_prefix or name.upper()
     lan = Lan(world.kernel, name,
@@ -110,8 +106,7 @@ def build_office_lan(world, name, host_count, os_version="7",
         lan.attach(host)
         if docs_per_host:
             seed_user_documents(host, rng.fork("docs:%d" % index),
-                                docs_per_user=docs_per_host,
-                                max_doc_size=max_doc_size)
+                                docs_per_user=docs_per_host)
         hosts.append(host)
     return lan, hosts
 

@@ -34,7 +34,7 @@ from repro.sim.errors import (
 
 #: Bump whenever the envelope or state payload shape changes; readers
 #: reject other versions with :class:`CheckpointVersionError`.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Envelope kinds: each envelope declares what it is, so a sweep
 #: replica file can never be mistaken for a campaign manifest line.

@@ -512,9 +512,9 @@ class Kernel:
         a single heap access (:meth:`EventQueue.pop_due` folds the old
         peek+pop pair), the per-event attribute lookups are hoisted out
         of the loop, and the ``sim.events_dispatched`` metric and
-        :attr:`dispatched_events` counter are batched — they update
-        once per ``run()`` call (including on error exits), which is
-        the granularity every consumer in the codebase reads them at.
+        :attr:`dispatched_events` counter advance after every dispatch,
+        so a checkpoint taken by a callback inside a long ``run()``
+        records the count so far.
 
         A popped firing of an idle periodic task starts a skip window
         (:meth:`EventQueue.skip_idle`): its idle firings count as
@@ -530,38 +530,37 @@ class Kernel:
         queue = self._queue
         pop_due = queue.pop_due
         advance_to = self.clock.advance_to
-        try:
-            while True:
-                event = pop_due(until)
-                if event is None:
-                    break
-                if dispatched >= max_events:
-                    # Raise *before* dispatching event max_events + 1,
-                    # so a budget of N never executes more than N
-                    # callbacks; the undispatched event stays queued.
-                    queue.restore(event)
-                    raise SimulationError(
-                        "dispatched %d events without draining; runaway "
-                        "simulation (last event label: %r)"
-                        % (dispatched, last_label)
-                    )
-                count = 0
-                task = event.task
-                if task is not None and task.idle():
-                    count, time, label = queue.skip_idle(
-                        event, until, max_events - dispatched)
-                    if count:
-                        advance_to(time)
-                        last_label = label
-                if not count:
-                    advance_to(event.time)
-                    event.callback()
-                    last_label = event.label
-                    count = 1
-                dispatched += count
-        finally:
-            self._dispatched += dispatched
-            self._events_metric.value += dispatched
+        events_metric = self._events_metric
+        while True:
+            event = pop_due(until)
+            if event is None:
+                break
+            if dispatched >= max_events:
+                # Raise *before* dispatching event max_events + 1,
+                # so a budget of N never executes more than N
+                # callbacks; the undispatched event stays queued.
+                queue.restore(event)
+                raise SimulationError(
+                    "dispatched %d events without draining; runaway "
+                    "simulation (last event label: %r)"
+                    % (dispatched, last_label)
+                )
+            count = 0
+            task = event.task
+            if task is not None and task.idle():
+                count, time, label = queue.skip_idle(
+                    event, until, max_events - dispatched)
+                if count:
+                    advance_to(time)
+                    last_label = label
+            if not count:
+                advance_to(event.time)
+                event.callback()
+                last_label = event.label
+                count = 1
+            dispatched += count
+            self._dispatched += count
+            events_metric.value += count
         if until is not None and until > self.clock.now:
             self.clock.advance_to(until)
         return dispatched

@@ -53,7 +53,14 @@ class FileAttributes:
 
 
 class VirtualFile:
-    """One simulated file: bytes plus (optionally) executable behaviour.
+    """One simulated file: contents plus (optionally) executable behaviour.
+
+    Contents are a literal ``head`` followed by a run of ``zeros`` zero
+    bytes.  Zero-filled documents and module footprints, where only the
+    byte count matters, so cost an integer instead of a buffer.
+    :attr:`data` builds the full bytes on each access, except for a
+    file without a zero tail (PE images, ``f1.inf``, every literal
+    write), where it returns ``head`` itself.
 
     ``payload`` is how the simulation models machine code: executing the
     file calls ``payload(host, process)``.  Data and payload are
@@ -61,11 +68,13 @@ class VirtualFile:
     payload.
     """
 
-    __slots__ = ("path", "data", "payload", "attributes", "origin")
+    __slots__ = ("path", "head", "zeros", "payload", "attributes", "origin")
 
-    def __init__(self, path, data=b"", payload=None, attributes=None, origin=None):
+    def __init__(self, path, head=b"", payload=None, attributes=None,
+                 origin=None, zeros=0):
         self.path = normalize_path(path)
-        self.data = bytes(data)
+        self.head = bytes(head)
+        self.zeros = zeros
         self.payload = payload
         self.attributes = attributes or FileAttributes()
         #: Free-form provenance label ("dropped-by:shamoon.dropper"), used
@@ -77,8 +86,15 @@ class VirtualFile:
         return split_path(self.path)[1]
 
     @property
+    def data(self):
+        """The exact contents as bytes (built anew if there is a tail)."""
+        if not self.zeros:
+            return self.head
+        return self.head + bytes(self.zeros)
+
+    @property
     def size(self):
-        return len(self.data)
+        return len(self.head) + self.zeros
 
     @property
     def extension(self):
@@ -140,8 +156,19 @@ class VirtualFileSystem:
 
     # -- files ---------------------------------------------------------------
 
-    def write(self, path, data=b"", payload=None, hidden=False, origin=None):
-        """Create or overwrite a file, creating parent directories."""
+    def write(self, path, data=b"", payload=None, hidden=False, origin=None,
+              size=None):
+        """Create or overwrite a file, creating parent directories.
+
+        The contents are ``data`` zero-padded to ``size`` bytes; the
+        padding is stored as a count, never as a buffer.
+        """
+        zeros = 0
+        if size is not None:
+            zeros = size - len(data)
+            if zeros < 0:
+                raise VfsError("size %d is below the %d bytes of data for %r"
+                               % (size, len(data), path))
         canonical = normalize_path(path)
         parent, _ = split_path(canonical)
         if parent:
@@ -149,7 +176,8 @@ class VirtualFileSystem:
         existing = self._files.get(canonical)
         created = existing.attributes.created if existing else self._now()
         attributes = FileAttributes(hidden=hidden, created=created, modified=self._now())
-        record = VirtualFile(canonical, data, payload, attributes, origin=origin)
+        record = VirtualFile(canonical, data, payload, attributes, origin=origin,
+                             zeros=zeros)
         self._files[canonical] = record
         return record
 
@@ -158,17 +186,21 @@ class VirtualFileSystem:
 
         Existing bytes past the overwritten range survive — this models
         partial overwrites faithfully, which the Shamoon JPEG-bug
-        experiment depends on.
+        experiment depends on.  A write reaching into the zero tail
+        moves that stretch into the head (with the zero gap before
+        ``offset``, if any); the rest of the tail stays a count.
         """
         record = self.get(path)
         if record.attributes.readonly:
             raise VfsError("file is read-only: %r" % path)
-        buffer = bytearray(record.data)
+        head = record.head
         end = offset + len(data)
-        if end > len(buffer):
-            buffer.extend(b"\x00" * (end - len(buffer)))
-        buffer[offset:end] = data
-        record.data = bytes(buffer)
+        if end <= len(head):
+            record.head = head[:offset] + data + head[end:]
+        else:
+            gap = bytes(max(0, offset - len(head)))
+            record.zeros = max(0, record.zeros - (end - len(head)))
+            record.head = head[:offset] + gap + data
         record.attributes.modified = self._now()
         return record
 

@@ -287,6 +287,17 @@ def test_format_2_envelope_raises_version_error(envelope_on_disk):
         (CHECKPOINT_VERSION, 2)
 
 
+def test_format_3_envelope_raises_version_error(envelope_on_disk):
+    """Format 3 published the dispatch count only when ``Kernel.run``
+    returned, so a checkpoint inside a long run digested a stale count;
+    such a file is refused by version."""
+    _set_format(envelope_on_disk, 3)
+    with pytest.raises(CheckpointVersionError) as excinfo:
+        read_checkpoint(envelope_on_disk)
+    assert (excinfo.value.expected, excinfo.value.found) == \
+        (CHECKPOINT_VERSION, 3)
+
+
 def test_tampered_state_raises_digest_error(envelope_on_disk):
     envelope = json.load(open(envelope_on_disk, encoding="utf-8"))
     envelope["state"]["dispatched"] += 1

@@ -38,13 +38,6 @@ def test_seed_documents_profile(host_factory, kernel):
                                "jpg", "mp3", "mp4") for f in files)
 
 
-def test_seed_documents_size_cap(host_factory, kernel):
-    host = host_factory("DOC2")
-    seed_user_documents(host, kernel.rng.fork("d"), docs_per_user=20,
-                        max_doc_size=4096)
-    assert all(f.size <= 4096 for f in host.vfs.walk("c:\\users"))
-
-
 def test_build_office_lan_shape():
     world = CampaignWorld(seed=2)
     lan, hosts = build_office_lan(world, "ministry", 8, docs_per_host=2,

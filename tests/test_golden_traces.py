@@ -215,16 +215,31 @@ def test_epidemic_curve_matches_golden(name, update_golden):
 
 
 @pytest.mark.parametrize("name", EPIDEMIC_CAMPAIGNS)
+def test_epidemic_epoch_checkpoints_record_rising_event_counts(name,
+                                                               tmp_path):
+    """Every epoch steps inside one ``kernel.run`` call; each epoch
+    checkpoint must still record the events dispatched so far, not the
+    count the call publishes when it returns."""
+    from repro.core.resume import run_checkpointed
+
+    baseline = run_checkpointed(
+        lambda: CAMPAIGNS[name](seed=GOLDEN_SEED, **dict(QUICK_PARAMS[name])),
+        str(tmp_path / name))
+    events = [entry["events"] for entry in baseline.store.entries()
+              if entry["tag"] == "stage:epidemic.epoch"]
+    assert len(events) == baseline.campaign.epochs
+    assert all(a < b for a, b in zip(events, events[1:]))
+
+
+@pytest.mark.parametrize("name", EPIDEMIC_CAMPAIGNS)
 def test_epidemic_checkpoint_at_epoch_n_resumes_byte_identical(name,
                                                                tmp_path):
     """Interrupt a checkpointed run right after its epoch-5 checkpoint
     (mid-spread, of 10 epochs) and resume by replay: the verified
     prefix ends at that epoch, and the resumed model state and export
-    are byte-identical to the uninterrupted run's.  Epoch ``n`` steps
-    at ``n`` epoch lengths of virtual time, so a checkpoint's epoch is
-    its ``sim_seconds`` over the epoch length.  (Its ``events`` count
-    cannot tell: all epochs step inside one ``kernel.run`` call, which
-    publishes its dispatch count when it returns.)"""
+    are byte-identical to the uninterrupted run's.  Epoch ``n``
+    checkpoints from inside the ``n``-th epoch event, so its line
+    records the ``n - 1`` events dispatched before it."""
     from repro.core.resume import (
         interrupt_after,
         resume_checkpointed,
@@ -238,12 +253,14 @@ def test_epidemic_checkpoint_at_epoch_n_resumes_byte_identical(name,
 
     directory = str(tmp_path / name)
     baseline = run_checkpointed(factory, directory)
-    epoch_seconds = (baseline.campaign.model.horizon_seconds()
-                     / baseline.campaign.epochs)
-    epochs = [entry["sim_seconds"] / epoch_seconds
-              for entry in baseline.store.entries()]
+    entries = baseline.store.entries()
+    epochs = [entry["events"] + 1 if entry["tag"] == "stage:epidemic.epoch"
+              else None for entry in entries]
     keep = epochs.index(5) + 1
     assert epochs[keep - 1:keep + 1] == [5, 6]
+    epoch_seconds = (baseline.campaign.model.horizon_seconds()
+                     / baseline.campaign.epochs)
+    assert entries[keep - 1]["sim_seconds"] == 5 * epoch_seconds
     interrupt_after(directory, keep=keep)
     report = resume_checkpointed(factory, directory)
     assert not report.short_circuited

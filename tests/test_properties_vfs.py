@@ -1,9 +1,10 @@
 """Property-based tests: filesystem and registry invariants."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.winsim import Registry, VirtualFileSystem
-from repro.winsim.vfs import normalize_path
+from repro.winsim.vfs import VfsError, normalize_path
 
 _name = st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=8)
 _path = st.builds(
@@ -29,19 +30,51 @@ def test_write_read_consistency(entries):
                           if not p.startswith("c:\\windows")}
 
 
-@settings(max_examples=40, deadline=None)
+_overwrites = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=450),
+              st.binary(max_size=64)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
 @given(path=_path, original=st.binary(max_size=200),
-       patch=st.binary(max_size=64),
-       offset=st.integers(min_value=0, max_value=128))
-def test_overwrite_data_length_invariant(path, original, patch, offset):
+       zeros=st.integers(min_value=0, max_value=200),
+       overwrites=_overwrites, readonly=st.booleans())
+# Head "abcdef" plus a 20-byte zero tail, overwritten inside the head,
+# inside the tail, straddling both, past the end, and with no bytes.
+@example(path="c:\\a.txt", original=b"abcdef", zeros=20,
+         overwrites=[(1, b"XY"), (10, b"tail"), (4, b"straddle"),
+                     (40, b"past"), (3, b""), (60, b"")], readonly=False)
+@example(path="c:\\a.txt", original=b"abc", zeros=8,
+         overwrites=[(5, b"X")], readonly=True)
+def test_overwrite_data_length_invariant(path, original, zeros, overwrites,
+                                         readonly):
+    """A file of ``original`` bytes plus a zero tail matches a bytearray
+    model under any sequence of in-place overwrites, and a read-only
+    one refuses them and keeps its bytes."""
     vfs = VirtualFileSystem()
-    vfs.write(path, original)
-    vfs.overwrite_data(path, patch, offset=offset)
-    data = vfs.read(path)
-    assert len(data) == max(len(original), offset + len(patch))
-    assert data[offset:offset + len(patch)] == patch
-    if offset <= len(original):
-        assert data[:offset] == original[:offset]
+    vfs.write(path, original, size=len(original) + zeros)
+    model = bytearray(original) + bytearray(zeros)
+    if readonly:
+        vfs.get(path).attributes.readonly = True
+    for offset, patch in overwrites:
+        if readonly:
+            with pytest.raises(VfsError):
+                vfs.overwrite_data(path, patch, offset=offset)
+        else:
+            vfs.overwrite_data(path, patch, offset=offset)
+            end = offset + len(patch)
+            model.extend(bytes(max(0, end - len(model))))
+            model[offset:end] = patch
+        assert vfs.get(path).size == len(model)
+        assert vfs.read(path) == model
+
+
+def test_write_size_below_data_raises():
+    vfs = VirtualFileSystem()
+    with pytest.raises(VfsError):
+        vfs.write("c:\\a.txt", b"abcd", size=3)
+    assert not vfs.exists("c:\\a.txt")
 
 
 @settings(max_examples=40, deadline=None)
