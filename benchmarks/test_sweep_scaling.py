@@ -12,9 +12,12 @@ policy when nothing fails; the goal is ~1.0.
 Timing methodology: interleaved serial/parallel/supervised rounds,
 keeping each side's minimum, reporting the ratio of minimums — the minimum of
 several rounds converges on the true cost, and interleaving cancels
-machine-load drift.  A process pool does its work in *children*, which
-``process_time`` never sees, so this benchmark times wall clock
-(``perf_counter``).
+machine-load drift.  In each round a side repeats its sweep until it has
+run for at least ``MIN_ROUND_SECONDS`` and counts the mean time of one
+sweep: a quick sweep takes well under a second, and a round that short
+would measure the machine's noise rather than the pool.  A process pool
+does its work in *children*, which ``process_time`` never sees, so this
+benchmark times wall clock (``perf_counter``).
 
 A warm-up round runs first, so the timed rounds measure the steady
 state the warm pool exists for: spec already shipped, imports done,
@@ -46,6 +49,9 @@ SPEEDUP_FLOOR = 1.5
 #: Cores the floor needs to be meaningful: 2 workers want 2 cores.
 MIN_CORES_FOR_SPEEDUP = 2
 
+#: Wall seconds each side runs for in one timed round, sweeps repeated.
+MIN_ROUND_SECONDS = 1.0
+
 WORKERS = 2
 BASE_SEED = 2013
 
@@ -58,15 +64,27 @@ def effective_cores():
         return os.cpu_count() or 1
 
 
+def _mean_call_seconds(fn, min_seconds):
+    """Call ``fn`` until ``min_seconds`` of wall time have passed; the
+    mean wall time of one call."""
+    calls = 0
+    start = time.perf_counter()
+    while True:
+        fn()
+        calls += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= min_seconds:
+            return elapsed / calls
+
+
 def _interleaved_minimums(rounds, *fns):
     """Alternate the dispatch variants and keep each one's best wall
-    time (children do the parallel work, so CPU time would lie)."""
+    time per call (children do the parallel work, so CPU time would
+    lie)."""
     times = [[] for _ in fns]
     for _ in range(rounds):
         for fn, samples in zip(fns, times):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
+            samples.append(_mean_call_seconds(fn, MIN_ROUND_SECONDS))
     return [min(samples) for samples in times]
 
 
@@ -138,6 +156,7 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
         "workers": WORKERS,
         "chunk_size": 1,
         "rounds": rounds,
+        "min_round_seconds": MIN_ROUND_SECONDS,
         "pool_reused_every_round": all(reused),
         "serial_wall_seconds": serial_s,
         "parallel_wall_seconds": parallel_s,

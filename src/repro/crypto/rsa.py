@@ -5,8 +5,14 @@ server" whose private half only the attack coordinator holds (§III.B);
 certificates in :mod:`repro.certs` carry RSA signatures over a named
 digest.  Keys are small (default 512-bit modulus) because the simulation
 needs speed, not security.
+
+Keys derive from fixed labels, never from a seed, so each process derives
+a label's key once (:func:`generate_keypair` is memoised) and every
+campaign replica in it shares the same key objects.  Key objects are
+therefore immutable.
 """
 
+import functools
 import hashlib
 
 from repro.crypto.hashes import digest as _digest
@@ -67,12 +73,29 @@ def _derive_prime(seed_material, bits):
         counter += 1
 
 
-class RsaPublicKey:
+class _Immutable:
+    """Base for key objects: attributes are set once, in ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class RsaPublicKey(_Immutable):
     """RSA public half: verify signatures, seal (encrypt) small payloads."""
 
+    __slots__ = ("modulus", "exponent")
+
     def __init__(self, modulus, exponent=65537):
-        self.modulus = modulus
-        self.exponent = exponent
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __reduce__(self):
+        return RsaPublicKey, (self.modulus, self.exponent)
 
     @property
     def bits(self):
@@ -118,18 +141,22 @@ class RsaPublicKey:
         return "RsaPublicKey(bits=%d, fp=%s)" % (self.bits, self.fingerprint())
 
 
-class RsaKeyPair:
+class RsaKeyPair(_Immutable):
     """Full RSA key pair: everything the public key does, plus sign/unseal."""
+
+    __slots__ = ("_p", "_q", "_d", "public")
 
     def __init__(self, p, q, exponent=65537):
         if p == q:
             raise ValueError("p and q must differ")
-        self._p = p
-        self._q = q
-        modulus = p * q
         phi = (p - 1) * (q - 1)
-        self._d = pow(exponent, -1, phi)
-        self.public = RsaPublicKey(modulus, exponent)
+        object.__setattr__(self, "_p", p)
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_d", pow(exponent, -1, phi))
+        object.__setattr__(self, "public", RsaPublicKey(p * q, exponent))
+
+    def __reduce__(self):
+        return RsaKeyPair, (self._p, self._q, self.public.exponent)
 
     @property
     def modulus(self):
@@ -150,15 +177,23 @@ class RsaKeyPair:
 
 
 def generate_keypair(label, bits=512):
-    """Deterministically generate a key pair from a string label.
+    """Deterministically generate a key pair from a ``str`` or ``bytes`` label.
 
     Two calls with the same label yield the same key, so a simulation can
     reconstruct "the coordinator's key" anywhere without shared state.
+    Within a process they yield the very same (immutable) object: a
+    label's key is derived once and then served from a cache.
     """
     if bits < 128:
         raise ValueError("modulus below 128 bits cannot frame payloads")
-    half = bits // 2
     label_bytes = label.encode("utf-8") if isinstance(label, str) else label
+    return _derive_keypair(label_bytes, bits)
+
+
+@functools.cache
+def _derive_keypair(label_bytes, bits):
+    """Derive the key pair for ``label_bytes``; memoised per process."""
+    half = bits // 2
     p = _derive_prime(b"p:" + label_bytes, half)
     q = _derive_prime(b"q:" + label_bytes, bits - half)
     if p == q:

@@ -41,7 +41,17 @@ import time
 #: cannot pay for itself: pool warm-up, task framing, and row decoding
 #: cost on the order of low hundreds of milliseconds, so an ensemble
 #: cheaper than this finishes sooner run in-process.  ``run_sweep``
-#: reads it at call time.
+#: reads it at call time.  Measured on 2 vCPUs with quick
+#: ``stuxnet-epidemic`` replicas, in a process that has already run one
+#: (≈0.01 s a replica; each fresh worker pays ≈0.05 s once to derive its
+#: RSA keys) and whose fork server is already running: 16 replicas run
+#: serially in 0.18 s against 0.22 s on a fresh 2-worker pool, 32 in
+#: 0.41 s against 0.36 s, 64 in 0.87 s against 0.62 s, so the break-even
+#: lies between 0.2 and 0.4 s of serial work there.  In a cold process
+#: (a fresh ``repro sweep``) the probe also times the one-time key
+#: derivation and first-use costs (≈0.09 s in all), so its estimate
+#: reads high, while starting the fork server adds ≈0.4 s to the pool:
+#: 16 replicas take the pool in ≈0.75 s where serial takes ≈0.3 s.
 PARALLEL_BREAK_EVEN_SECONDS = 0.2
 
 #: Target wall-clock seconds per dispatched chunk when sizing chunks

@@ -1,8 +1,12 @@
-"""Schoolbook RSA: signing, sealing, determinism."""
+"""Schoolbook RSA: signing, sealing, determinism, the per-process key cache."""
+
+import copy
+import pickle
 
 import pytest
 
-from repro.crypto import RsaKeyPair, generate_keypair
+from repro.core.ensemble import CAMPAIGNS, CampaignSpec, run_replica
+from repro.crypto import RsaKeyPair, generate_keypair, rsa
 
 
 def test_sign_verify_round_trip():
@@ -68,9 +72,11 @@ def test_fingerprint_stability_and_uniqueness():
 
 
 def test_equal_public_keys():
-    a = generate_keypair("eq").public
-    b = generate_keypair("eq").public
-    assert a == b and hash(a) == hash(b)
+    # Distinct objects: generate_keypair would hand back the cached one.
+    a = generate_keypair("eq")
+    b = RsaKeyPair(a._p, a._q)
+    assert a.public is not b.public
+    assert a.public == b.public and hash(a.public) == hash(b.public)
 
 
 def test_keypair_rejects_equal_primes():
@@ -79,5 +85,97 @@ def test_keypair_rejects_equal_primes():
 
 
 def test_tiny_modulus_rejected():
-    with pytest.raises(ValueError):
-        generate_keypair("tiny", bits=64)
+    # On every call, even for a label whose valid-size key is cached,
+    # and without touching the cache.
+    generate_keypair("tiny", bits=128)
+    before = rsa._derive_keypair.cache_info()
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            generate_keypair("tiny", bits=64)
+    assert rsa._derive_keypair.cache_info() == before
+
+
+def _assert_same_key(key, other):
+    assert key._p == other._p
+    assert key._q == other._q
+    assert key._d == other._d
+    assert key.modulus == other.modulus
+    assert key.public == other.public
+
+
+# -- immutable keys ------------------------------------------------------------
+# generate_keypair hands every caller in a process the same key object,
+# so a key must not be changeable through any one of them.
+
+@pytest.mark.parametrize("attribute", ("modulus", "exponent"))
+def test_public_key_attributes_are_read_only(attribute):
+    public = generate_keypair("frozen").public
+    with pytest.raises(AttributeError):
+        setattr(public, attribute, 3)
+    with pytest.raises(AttributeError):
+        delattr(public, attribute)
+    with pytest.raises(AttributeError):
+        public.extra = 1
+
+
+@pytest.mark.parametrize("attribute", ("public", "_p", "_q", "_d"))
+def test_keypair_attributes_are_read_only(attribute):
+    keypair = generate_keypair("frozen")
+    with pytest.raises(AttributeError):
+        setattr(keypair, attribute, 3)
+    with pytest.raises(AttributeError):
+        delattr(keypair, attribute)
+    with pytest.raises(AttributeError):
+        keypair.extra = 1
+
+
+@pytest.mark.parametrize("copier", (
+    lambda key: pickle.loads(pickle.dumps(key)),
+    copy.deepcopy,
+), ids=("pickle", "deepcopy"))
+def test_keys_survive_pickle_and_deepcopy(copier):
+    keypair = generate_keypair("pickled")
+    clone = copier(keypair)
+    _assert_same_key(clone, keypair)
+    assert copier(keypair.public) == keypair.public
+    assert clone.decrypt(keypair.public.encrypt(b"sealed")) == b"sealed"
+
+
+# -- the key cache is invisible ------------------------------------------------
+
+def test_every_campaign_label_matches_an_uncached_derivation(monkeypatch):
+    derived = []
+    cached_derive = rsa._derive_keypair
+
+    def recording(label_bytes, bits):
+        derived.append((label_bytes, bits))
+        return cached_derive(label_bytes, bits)
+
+    monkeypatch.setattr(rsa, "_derive_keypair", recording)
+    for name in sorted(CAMPAIGNS):
+        before = len(derived)
+        run_replica(CampaignSpec.quick(name), 0, base_seed=7)
+        assert len(derived) > before, name
+    monkeypatch.undo()
+
+    for label_bytes, bits in sorted(set(derived)):
+        cached = generate_keypair(label_bytes, bits)
+        fresh = rsa._derive_keypair.__wrapped__(label_bytes, bits)
+        assert fresh is not cached
+        _assert_same_key(cached, fresh)
+
+
+def test_repeated_calls_share_one_cached_object():
+    # A str or bytes label, positional or keyword bits: one entry.
+    rsa._derive_keypair.cache_clear()
+    key = generate_keypair("spelling")
+    assert generate_keypair("spelling") is key
+    assert generate_keypair(b"spelling") is key
+    assert generate_keypair("spelling", 512) is key
+    assert generate_keypair(b"spelling", bits=512) is key
+    info = rsa._derive_keypair.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    # A different size is a different key.
+    assert generate_keypair("spelling", bits=256).modulus != key.modulus
+    assert rsa._derive_keypair.cache_info().currsize == 2
+

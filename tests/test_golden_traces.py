@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.core.ensemble import CAMPAIGNS, QUICK_PARAMS
+from repro.crypto import rsa
 from repro.obs.export import export_digest, trace_lines
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -142,6 +143,22 @@ def test_same_seed_reruns_are_byte_identical(finished_kernels):
     meta = {"campaign": name, "seed": GOLDEN_SEED, "preset": "quick"}
     assert export_digest(campaign.world.kernel, meta=meta) == \
         export_digest(finished_kernels[name], meta=meta)
+
+
+def test_campaign_order_in_one_process_keeps_golden_files():
+    # RSA keys are derived once per process and then shared: first a
+    # cold key cache in one campaign order, then the cache that run
+    # filled in the reverse order.  Who derives a key first must not
+    # matter.
+    rsa._derive_keypair.cache_clear()
+    for order in (sorted(CAMPAIGNS), sorted(CAMPAIGNS, reverse=True)):
+        for name in order:
+            campaign = CAMPAIGNS[name](seed=GOLDEN_SEED,
+                                       **dict(QUICK_PARAMS[name]))
+            campaign.run()
+            with open(_golden_path(name), encoding="utf-8") as stream:
+                golden = json.load(stream)
+            assert _observed(name, campaign.world.kernel) == golden, name
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))

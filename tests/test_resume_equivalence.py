@@ -89,8 +89,9 @@ def test_parallel_resume_matches_serial_recording(tmp_path):
         os.remove(os.path.join(directory, "replica-%04d.json" % index))
     resumed = run_sweep(
         spec, _config(replicas=6, mode="parallel", workers=2,
-                      chunk_size=1),
+                      chunk_size=1, fallback=False),
         checkpoint_dir=directory, resume=True)
+    assert resumed.dispatch["path"] == "warm-pool"
     _assert_byte_identical(resumed, baseline)
 
 

@@ -56,7 +56,9 @@ def test_serial_and_parallel_sweeps_are_bit_identical(name):
     serial = run_sweep(spec, SweepConfig(
         replicas=3, workers=1, mode="serial", base_seed=42))
     parallel = run_sweep(spec, SweepConfig(
-        replicas=3, workers=2, mode="parallel", base_seed=42, chunk_size=1))
+        replicas=3, workers=2, mode="parallel", base_seed=42, chunk_size=1,
+        fallback=False))
+    assert parallel.dispatch["path"] == "warm-pool"
     assert serial.measurements() == parallel.measurements()
     assert serial.digests() == parallel.digests()
     assert [r.seed for r in serial.replicas] == \
@@ -73,7 +75,8 @@ def test_serial_and_parallel_metric_snapshots_are_identical():
         replicas=3, workers=1, mode="serial", base_seed=11))
     parallel = run_sweep(spec, SweepConfig(
         replicas=3, workers=2, mode="parallel", base_seed=11,
-        chunk_size=1))
+        chunk_size=1, fallback=False))
+    assert parallel.dispatch["path"] == "warm-pool"
     assert serial.metrics() == parallel.metrics()
     assert serial.merged_metrics() == parallel.merged_metrics()
     assert serial.aggregate_metrics() == parallel.aggregate_metrics()
@@ -95,9 +98,12 @@ def test_replica_metrics_survive_as_dict_round_trip():
 def test_chunk_size_does_not_affect_results():
     spec = CampaignSpec.quick("stuxnet")
     by_one = run_sweep(spec, SweepConfig(
-        replicas=4, workers=2, mode="parallel", base_seed=9, chunk_size=1))
+        replicas=4, workers=2, mode="parallel", base_seed=9, chunk_size=1,
+        fallback=False))
     by_three = run_sweep(spec, SweepConfig(
-        replicas=4, workers=2, mode="parallel", base_seed=9, chunk_size=3))
+        replicas=4, workers=2, mode="parallel", base_seed=9, chunk_size=3,
+        fallback=False))
+    assert by_one.dispatch["path"] == by_three.dispatch["path"] == "warm-pool"
     assert by_one.measurements() == by_three.measurements()
     assert by_one.digests() == by_three.digests()
 

@@ -334,8 +334,10 @@ def test_deadline_salvage_then_resume_completes_the_sweep(tmp_path):
 def test_keyboard_interrupt_flushes_manifest_and_kills_pool(tmp_path,
                                                             monkeypatch):
     checkpoint = str(tmp_path / "sweep")
+    # fallback=False pins the pool: a cheap probe must not turn this
+    # into a serial run with no pool to tear down.
     config = SweepConfig(replicas=6, workers=2, mode="parallel",
-                         base_seed=42, chunk_size=1)
+                         base_seed=42, chunk_size=1, fallback=False)
     recorded = []
     original = SweepCheckpoint.record
 
