@@ -1,19 +1,20 @@
 """CI resume-equivalence gate: interrupt, resume, diff digests.
 
 For each paper campaign this runs a quick checkpointed sweep, simulates
-a crash by deleting a subset of the recorded replica files, resumes
-from the surviving manifest, and diffs the resumed result against an
-uninterrupted baseline — trace digests, per-measurement aggregates,
-and merged metrics must all be byte-identical.  It also records an
-interrupted single-campaign run and replay-verifies its checkpoint
-chain: the checkpoint directory must hold exactly one manifest file; a
-resume with the wrong seed must fail as diverged and leave the manifest
-byte-identical; the right-seed resume's result, export digest, and
-metrics must equal the uninterrupted run's; and resuming the
-now-finished chain once more must short-circuit to the same result and
-metrics without a replay.  Replay is the only resume protocol, so this
-is its gate.  The checkpoint
-directories are left in place for CI to upload as artifacts.
+a crash by cutting its manifest after half of the replica lines,
+resumes, and diffs the resumed result against an uninterrupted
+baseline — trace digests, per-measurement aggregates, and merged
+metrics must all be byte-identical.  It also records an interrupted
+single-campaign run and replay-verifies its checkpoint chain; the
+right-seed resume's result, export digest, and metrics must equal the
+uninterrupted run's, and resuming the now-finished chain once more
+must short-circuit to the same result and metrics without a replay.
+Replay is the only campaign resume protocol, so this is its gate.  For
+both kinds, the checkpoint directory must hold exactly one manifest
+file, and a resume with the wrong seed must fail with
+``CheckpointError`` and leave the manifest byte-identical.  The
+checkpoint directories are left in place for CI to upload as
+artifacts.
 
 Usage::
 
@@ -33,7 +34,6 @@ from repro.sim.errors import CheckpointError
 
 BASE_SEED = 20130708
 REPLICAS = 6
-DROP = (1, 3, 4)  # replica indexes deleted to simulate the crash
 
 
 def canonical(value):
@@ -41,32 +41,49 @@ def canonical(value):
                       default=str)
 
 
+def _read_bytes(path):
+    with open(path, "rb") as stream:
+        return stream.read()
+
+
+def _single_manifest(directory):
+    """A failure message unless ``directory`` holds only the manifest."""
+    if os.listdir(directory) != [CheckpointStore.MANIFEST]:
+        return ["checkpoint directory holds %s, expected only %s"
+                % (sorted(os.listdir(directory)), CheckpointStore.MANIFEST)]
+    return []
+
+
 def check_sweep(campaign, directory):
     spec = CampaignSpec.quick(campaign)
 
-    def config():
-        return SweepConfig(replicas=REPLICAS, base_seed=BASE_SEED,
-                           mode="serial")
+    def config(seed=BASE_SEED):
+        return SweepConfig(replicas=REPLICAS, base_seed=seed, mode="serial")
 
     baseline = run_sweep(spec, config())
     run_sweep(spec, config(), checkpoint_dir=directory)
-    for index in DROP:
-        os.remove(os.path.join(directory, "replica-%04d.json" % index))
+    failures = _single_manifest(directory)
+    interrupt_after(directory, keep=REPLICAS // 2)
+    manifest = os.path.join(directory, CheckpointStore.MANIFEST)
+    interrupted = _read_bytes(manifest)
+    try:
+        run_sweep(spec, config(BASE_SEED + 1), checkpoint_dir=directory,
+                  resume=True)
+        failures.append("wrong-seed resume did not fail")
+    except CheckpointError as exc:
+        if "base_seed" not in str(exc):
+            failures.append("wrong-seed resume failed oddly: %s" % exc)
+    if _read_bytes(manifest) != interrupted:
+        failures.append("wrong-seed resume changed the manifest")
     resumed = run_sweep(spec, config(), checkpoint_dir=directory,
                         resume=True)
-    failures = []
     if resumed.digests() != baseline.digests():
         failures.append("trace digests differ")
     for view in ("aggregate", "aggregate_metrics", "merged_metrics"):
         if canonical(getattr(resumed, view)()) \
                 != canonical(getattr(baseline, view)()):
             failures.append("%s() differs" % view)
-    return failures
-
-
-def _read_bytes(path):
-    with open(path, "rb") as stream:
-        return stream.read()
+    return failures + _single_manifest(directory)
 
 
 def check_campaign(campaign, directory):
@@ -77,11 +94,7 @@ def check_campaign(campaign, directory):
     meta = {"campaign": campaign, "seed": BASE_SEED}
     baseline = run_checkpointed(factory, directory, meta=meta)
     recorded = len(baseline.store.entries())
-    failures = []
-    if os.listdir(directory) != [CheckpointStore.MANIFEST]:
-        failures.append("checkpoint directory holds %s, expected only %s"
-                        % (sorted(os.listdir(directory)),
-                           CheckpointStore.MANIFEST))
+    failures = _single_manifest(directory)
     interrupt_after(directory, keep=max(1, recorded // 2))
     manifest = os.path.join(directory, CheckpointStore.MANIFEST)
     interrupted = _read_bytes(manifest)

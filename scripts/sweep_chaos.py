@@ -9,14 +9,15 @@ contract:
 * the crash and the timeout each cost one replica attempt — after
   retries, those replicas are byte-identical to the serial baseline;
 * the poison replica is quarantined as a structured ``ReplicaFailure``
-  persisted in the checkpoint manifest, and the degraded sweep still
-  aggregates over the survivors (partial-result salvage);
+  persisted as a failure line in the checkpoint directory's one
+  ``MANIFEST.jsonl``, and the degraded sweep still aggregates over the
+  survivors (partial-result salvage);
 * a ``--resume`` retry pass with the chaos gone completes the ensemble
   to a result byte-identical to the undisturbed serial run.
 
-A machine-readable ``failure_report.json`` (quarantine records plus the
-supervision report) is written into the output directory for CI to
-upload as an artifact.
+A machine-readable ``failure_report.json`` (quarantine records read
+back from the manifest, plus the supervision report) is written next
+to the manifest for CI to upload as an artifact.
 
 Usage::
 
@@ -28,7 +29,7 @@ import os
 import sys
 
 from repro import CampaignSpec, SweepConfig, run_sweep
-from repro.core.resume import SweepCheckpoint
+from repro.core.resume import CheckpointStore, SweepCheckpoint
 from repro.sim.workerpool import ChaosPlan, SupervisorConfig
 
 BASE_SEED = 20130708
@@ -79,6 +80,10 @@ def check(campaign, directory):
         failures.append("degraded sweep produced no aggregate")
     if degraded.supervision["worker_restarts"] < 1:
         failures.append("supervisor recorded no worker restarts")
+    if os.listdir(directory) != [CheckpointStore.MANIFEST]:
+        failures.append("checkpoint directory holds %s, expected only %s"
+                        % (sorted(os.listdir(directory)),
+                           CheckpointStore.MANIFEST))
     on_disk = SweepCheckpoint.load(directory).failures()
     if set(on_disk) != {POISON}:
         failures.append("manifest quarantine records wrong: %r"
@@ -87,7 +92,8 @@ def check(campaign, directory):
     report_path = os.path.join(directory, "failure_report.json")
     with open(report_path, "w", encoding="utf-8") as stream:
         json.dump({"campaign": campaign,
-                   "failures": [f.as_dict() for f in degraded.failures],
+                   "failures": [f.as_dict() for _, f
+                                in sorted(on_disk.items())],
                    "supervision": degraded.supervision},
                   stream, indent=2, sort_keys=True, default=str)
         stream.write("\n")

@@ -20,9 +20,10 @@ Prometheus-style metrics dump (or a ``metrics`` key under ``--json``).
 
 The campaign subcommands and ``sweep`` also take ``--checkpoint-dir
 DIR`` (record a resumable checkpoint manifest) and ``--resume``
-(continue an interrupted run from that directory).  A campaign's
-checkpoint directory is one append-only ``MANIFEST.jsonl`` with a line
-per kill-chain stage boundary.
+(continue an interrupted run from that directory).  Either kind of
+checkpoint directory is one append-only ``MANIFEST.jsonl``: a line per
+kill-chain stage boundary for a campaign, a line per completed or
+quarantined replica for a sweep.
 """
 
 import argparse

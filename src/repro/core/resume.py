@@ -22,35 +22,32 @@ decides *when* to checkpoint and *how* to come back:
   and appending only after the whole recorded prefix has matched.  The
   chain is thus both the recovery mechanism and the strongest
   correctness oracle the kernel has.
-* :class:`SweepCheckpoint` — the sweep manifest: one spec/config
-  fingerprint plus one atomically-written result file per completed
-  replica.  On resume, finished replicas short-circuit straight from
-  the manifest and only the missing ones re-run; deterministic
-  per-replica seeding makes the merged result byte-identical to an
-  uninterrupted sweep.  The pending set re-enters ``run_sweep`` with
-  the same (spec, base seed, workers) triple, so in-process resumes
-  (retry loops, salvage-then-retry) land on the process-wide warm
-  worker pool (:mod:`repro.sim.workerpool`) instead of paying worker
-  start-up again; and when the pending set is small, the adaptive
-  fallback skips process dispatch for it entirely.
+* :class:`SweepCheckpoint` — a sweep's checkpoint directory is the
+  same store: a ``sweep-manifest`` header pinning the spec, base seed
+  and replica count, then one line per completed replica and one per
+  quarantined replica, the last line per index winning.  On resume,
+  finished replicas short-circuit straight from the manifest and only
+  the missing ones re-run; deterministic per-replica seeding makes the
+  merged result byte-identical to an uninterrupted sweep.  The pending
+  set re-enters ``run_sweep`` with the same (spec, base seed, workers)
+  triple, so in-process resumes (retry loops, salvage-then-retry) land
+  on the process-wide warm worker pool (:mod:`repro.sim.workerpool`)
+  instead of paying worker start-up again; and when the pending set is
+  small, the adaptive fallback skips process dispatch for it entirely.
 """
 
 import json
 import os
 
-from repro.core.ensemble import ReplicaFailure, ReplicaResult
+from repro.core.ensemble import ReplicaFailure, ReplicaResult, replica_seed
 from repro.sim.checkpoint import (
     KIND_CHECKPOINT,
-    KIND_FAILURE,
     KIND_MANIFEST,
-    KIND_REPLICA,
     KIND_SWEEP,
     envelope_line,
     make_envelope,
-    read_checkpoint,
     state_digest,
     verify_envelope,
-    write_checkpoint,
 )
 from repro.sim.errors import CheckpointError
 
@@ -74,30 +71,22 @@ def _ensure_directory(directory):
     return directory
 
 
-def _list_directory(directory):
-    """List a checkpoint directory, wrapping unreadable/permission-
-    denied directories in :class:`CheckpointError`."""
-    try:
-        return os.listdir(directory)
-    except OSError as exc:
-        raise CheckpointError(
-            "cannot read checkpoint directory %s: %s: %s"
-            % (directory, type(exc).__name__, exc)) from exc
-
-
 class CheckpointStore:
-    """A campaign checkpoint directory: one append-only manifest file.
+    """A checkpoint directory: one append-only manifest file.
 
-    ``MANIFEST.jsonl`` holds a header envelope (kind
-    ``checkpoint-manifest``, the run's meta) and then one
-    ``campaign-checkpoint`` envelope per checkpoint.  Lines are only
-    ever appended.
+    ``MANIFEST.jsonl`` holds a header envelope (the run's meta) and then
+    one ``campaign-checkpoint`` envelope per line.  The header's
+    ``kind`` names what the directory records: ``checkpoint-manifest``
+    for a campaign's stage chain, ``sweep-manifest`` for a sweep's
+    replica and failure lines (:class:`SweepCheckpoint`); ``None``
+    loads either.  Lines are only ever appended.
     """
 
     MANIFEST = "MANIFEST.jsonl"
 
-    def __init__(self, directory):
+    def __init__(self, directory, kind=KIND_MANIFEST):
         self.directory = directory
+        self.kind = kind
         self.meta = None
         self._entries = []
 
@@ -125,7 +114,7 @@ class CheckpointStore:
         _ensure_directory(self.directory)
         self.meta = {str(k): jsonable(v) for k, v in (meta or {}).items()}
         self._write(envelope_line(make_envelope(
-            KIND_MANIFEST, {}, meta=self.meta)).encode("utf-8"), mode="wb")
+            self.kind, {}, meta=self.meta)).encode("utf-8"), mode="wb")
         self._entries = []
         return self
 
@@ -156,7 +145,7 @@ class CheckpointStore:
                         % (path, number, exc)) from exc
                 break
             envelopes.append(verify_envelope(
-                envelope, kind=KIND_MANIFEST if number == 1
+                envelope, kind=self.kind if number == 1
                 else KIND_CHECKPOINT, path="%s line %d" % (path, number)))
         if not envelopes:
             raise CheckpointError(
@@ -187,14 +176,14 @@ class CheckpointStore:
 
 
 def interrupt_after(directory, keep):
-    """Crash simulator: forget all but the first ``keep`` checkpoints.
+    """Crash simulator: forget all but the first ``keep`` manifest lines.
 
-    Cuts the manifest to its header plus the first ``keep`` lines —
-    exactly the on-disk state a crash right after checkpoint ``keep``
-    landed leaves, because lines are only ever appended.  Used by the
-    differential tests and the CI resume-equivalence step.
+    Cuts a campaign or sweep manifest to its header plus the first
+    ``keep`` lines — exactly the on-disk state a crash right after line
+    ``keep`` landed leaves, because lines are only ever appended.  Used
+    by the differential tests and the CI resume-equivalence step.
     """
-    store = CheckpointStore(directory).load()
+    store = CheckpointStore(directory, kind=None).load()
     if not 0 <= keep <= len(store._entries):
         raise ValueError("cannot keep %r of %d checkpoints"
                          % (keep, len(store._entries)))
@@ -377,53 +366,40 @@ def resume_checkpointed(factory, directory, meta=None, run=None):
 # -- sweep manifests -----------------------------------------------------------
 
 class SweepCheckpoint:
-    """Resume manifest for a Monte-Carlo sweep.
+    """Resume manifest for a Monte-Carlo sweep, on :class:`CheckpointStore`.
 
-    ``sweep.json`` pins the spec, base seed, and replica count; each
-    completed replica lands as an atomically-written
-    ``replica-NNNN.json``.  Per-replica seeds are a pure function of
-    (base seed, index), so a manifest's replicas splice into a resumed
-    sweep byte-for-byte as if the sweep had never stopped.
-
-    The supervised sweep path additionally persists quarantine records
-    as ``failure-NNNN.json``: a resume then *deterministically* either
-    retries a poison replica (the default — and a success supersedes
-    the record) or skips it and carries the structured failure into the
-    resumed result.
+    The header line (kind ``sweep-manifest``) pins the spec, base seed,
+    and replica count; each completed replica appends one
+    ``{"replica": ...}`` line, and each quarantine recorded by the
+    supervised path one ``{"failure": ...}`` line.  Lines fold in order
+    and the last line for an index wins, so a replica line after a
+    failure line for the same index clears that failure.  Per-replica
+    seeds are a pure function of (base seed, index), so the recorded
+    replicas splice into a resumed sweep byte-for-byte as if the sweep
+    had never stopped; a resume then *deterministically* either retries
+    a poison replica (the default) or skips it and carries its failure
+    record into the resumed result.
     """
 
-    SWEEP_MANIFEST = "sweep.json"
-    REPLICA_PATTERN = "replica-%04d.json"
-    FAILURE_PATTERN = "failure-%04d.json"
-
-    def __init__(self, directory, payload):
-        self.directory = directory
-        self._payload = payload
+    def __init__(self, store):
+        self.store = store
 
     @classmethod
     def create(cls, directory, spec, config):
-        """Start a fresh manifest for (spec, config) in ``directory``."""
-        _ensure_directory(directory)
-        payload = {
+        """Start a fresh manifest for (spec, config) in ``directory``;
+        lines an earlier run left there are truncated away."""
+        return cls(CheckpointStore(directory, KIND_SWEEP).initialise({
             "spec": spec.as_dict(),
             "base_seed": config.base_seed,
             "replicas": config.replicas,
-        }
-        manifest = cls(directory, payload)
-        write_checkpoint(manifest.manifest_path,
-                         make_envelope(KIND_SWEEP, payload))
-        return manifest
+        }))
 
     @classmethod
     def load(cls, directory):
-        """Read and validate an existing manifest."""
-        path = os.path.join(directory, cls.SWEEP_MANIFEST)
-        envelope = read_checkpoint(path, kind=KIND_SWEEP)
-        return cls(directory, envelope["state"])
-
-    @property
-    def manifest_path(self):
-        return os.path.join(self.directory, self.SWEEP_MANIFEST)
+        """Read and validate an existing manifest, every line of it."""
+        manifest = cls(CheckpointStore(directory, KIND_SWEEP).load())
+        manifest._fold()
+        return manifest
 
     def validate_against(self, spec, config):
         """Reject a resume whose spec/config cannot splice with ours.
@@ -432,126 +408,88 @@ class SweepCheckpoint:
         ensemble size match; pool shape (workers, chunking, mode) is
         free to differ — sharding never affects per-replica results.
         """
-        problems = []
-        if self._payload["spec"] != spec.as_dict():
-            problems.append("spec %r != recorded %r"
-                            % (spec.as_dict(), self._payload["spec"]))
-        if self._payload["base_seed"] != config.base_seed:
-            problems.append("base_seed %r != recorded %r"
-                            % (config.base_seed,
-                               self._payload["base_seed"]))
-        if self._payload["replicas"] != config.replicas:
-            problems.append("replicas %r != recorded %r"
-                            % (config.replicas, self._payload["replicas"]))
+        from repro.obs.export import jsonable
+
+        recorded = self.store.meta
+        problems = ["%s %r != recorded %r" % (key, wanted, recorded[key])
+                    for key, wanted in (("spec", jsonable(spec.as_dict())),
+                                        ("base_seed", config.base_seed),
+                                        ("replicas", config.replicas))
+                    if recorded[key] != wanted]
         if problems:
             raise CheckpointError(
                 "cannot resume sweep from %s: %s"
-                % (self.directory, "; ".join(problems)))
-
-    def replica_path(self, index):
-        return os.path.join(self.directory, self.REPLICA_PATTERN % index)
-
-    def failure_path(self, index):
-        return os.path.join(self.directory, self.FAILURE_PATTERN % index)
+                % (self.store.directory, "; ".join(problems)))
 
     def record(self, replica):
-        """Persist one completed replica's reduction, atomically.
-
-        A completed replica supersedes any quarantine record a previous
-        (supervised) pass left for the same index, so a retry pass that
-        finally succeeds leaves the manifest clean.
-        """
+        """Append one completed replica's reduction to the manifest."""
         from repro.obs.export import jsonable
 
-        payload = {"replica": jsonable(replica.as_dict())}
-        path = write_checkpoint(self.replica_path(replica.index),
-                                make_envelope(KIND_REPLICA, payload))
-        self.clear_failure(replica.index)
-        return path
+        return self.store.append({"replica": jsonable(replica.as_dict())})
 
     def record_failure(self, failure):
-        """Persist one quarantined replica's failure record, atomically."""
+        """Append one quarantined replica's failure record."""
         from repro.obs.export import jsonable
 
-        payload = {"failure": jsonable(failure.as_dict())}
-        return write_checkpoint(self.failure_path(failure.index),
-                                make_envelope(KIND_FAILURE, payload))
+        return self.store.append({"failure": jsonable(failure.as_dict())})
 
-    def clear_failure(self, index):
-        """Drop the quarantine record for ``index``, if one exists."""
-        try:
-            os.remove(self.failure_path(index))
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise CheckpointError(
-                "cannot remove failure record %s: %s: %s"
-                % (self.failure_path(index), type(exc).__name__,
-                   exc)) from exc
+    def _fold(self):
+        """``(completed, failures)`` index maps from the manifest lines.
 
-    def failures(self):
-        """Validated ``{index: ReplicaFailure}`` for every quarantine
-        record in the manifest directory."""
-        out = {}
-        for name in sorted(_list_directory(self.directory)):
-            if not (name.startswith("failure-") and name.endswith(".json")):
-                continue
-            envelope = read_checkpoint(os.path.join(self.directory, name),
-                                       kind=KIND_FAILURE)
-            failure = _failure_from_dict(envelope["state"]["failure"])
-            if name != self.FAILURE_PATTERN % failure.index:
+        Every line must name an index in the sweep's range and carry
+        that index's derived seed, and a completed replica is final: a
+        line after it for the same index is a manifest inconsistency.
+        All of these raise :class:`CheckpointError` — a damaged manifest
+        should be noticed, not silently spliced or re-run.
+        """
+        replicas = self.store.meta["replicas"]
+        base_seed = self.store.meta["base_seed"]
+        completed, failures = {}, {}
+        for number, entry in enumerate(self.store.entries(), 2):
+            where = "sweep manifest %s line %d" % (self.store.manifest_path,
+                                                   number)
+            if "replica" in entry:
+                record = _from_dict(ReplicaResult, entry["replica"], where)
+            else:
+                record = _from_dict(ReplicaFailure, entry.get("failure"),
+                                    where)
+            index = record.index
+            if not (isinstance(index, int) and 0 <= index < replicas):
                 raise CheckpointError(
-                    "failure record %s records index %d (expected file %s)"
-                    % (name, failure.index,
-                       self.FAILURE_PATTERN % failure.index))
-            out[failure.index] = failure
-        return out
+                    "%s records index %r outside the sweep's 0..%d range"
+                    % (where, index, replicas - 1))
+            if record.seed != replica_seed(base_seed, index):
+                raise CheckpointError(
+                    "%s records seed %r for replica %d, expected %r"
+                    % (where, record.seed, index,
+                       replica_seed(base_seed, index)))
+            if index in completed:
+                raise CheckpointError(
+                    "%s records replica %d again after it completed"
+                    % (where, index))
+            if "replica" in entry:
+                completed[index] = record
+                failures.pop(index, None)
+            else:
+                failures[index] = record
+        return completed, failures
 
     def completed(self):
-        """Validated ``{index: ReplicaResult}`` for every recorded file.
+        """Validated ``{index: ReplicaResult}`` for every completed replica."""
+        return self._fold()[0]
 
-        Any replica file that fails validation raises the typed error —
-        a corrupted manifest should be noticed, not silently re-run.
-        Files beyond the manifest's replica range are rejected too.
-        """
-        out = {}
-        for name in sorted(_list_directory(self.directory)):
-            if not (name.startswith("replica-") and name.endswith(".json")):
-                continue
-            envelope = read_checkpoint(os.path.join(self.directory, name),
-                                       kind=KIND_REPLICA)
-            replica = _replica_from_dict(envelope["state"]["replica"])
-            if not 0 <= replica.index < self._payload["replicas"]:
-                raise CheckpointError(
-                    "replica file %s has index %d outside the sweep's "
-                    "0..%d range" % (name, replica.index,
-                                     self._payload["replicas"] - 1))
-            if name != self.REPLICA_PATTERN % replica.index:
-                raise CheckpointError(
-                    "replica file %s records index %d (expected file %s)"
-                    % (name, replica.index,
-                       self.REPLICA_PATTERN % replica.index))
-            out[replica.index] = replica
-        return out
+    def failures(self):
+        """Validated ``{index: ReplicaFailure}`` for every replica whose
+        last manifest line is a quarantine record."""
+        return self._fold()[1]
 
 
-def _replica_from_dict(payload):
-    """Rebuild a :class:`ReplicaResult` from its ``as_dict`` rendering."""
+def _from_dict(cls, payload, where):
+    """Rebuild a :class:`ReplicaResult` or :class:`ReplicaFailure` from
+    its ``as_dict`` rendering."""
     try:
-        return ReplicaResult(**{slot: payload[slot]
-                                for slot in ReplicaResult.__slots__})
+        return cls(**{slot: payload[slot] for slot in cls.__slots__})
     except (KeyError, TypeError) as exc:
         raise CheckpointError(
-            "malformed replica payload: %s: %s"
-            % (type(exc).__name__, exc)) from exc
-
-
-def _failure_from_dict(payload):
-    """Rebuild a :class:`ReplicaFailure` from its ``as_dict`` rendering."""
-    try:
-        return ReplicaFailure(**{slot: payload[slot]
-                                 for slot in ReplicaFailure.__slots__})
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(
-            "malformed failure payload: %s: %s"
-            % (type(exc).__name__, exc)) from exc
+            "%s holds a malformed %s: %s: %s"
+            % (where, cls.__name__, type(exc).__name__, exc)) from exc

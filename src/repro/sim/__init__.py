@@ -9,12 +9,7 @@ is what lets the benchmark harness regenerate the paper's figures as
 stable event sequences.
 """
 
-from repro.sim.checkpoint import (
-    CHECKPOINT_VERSION,
-    read_checkpoint,
-    state_digest,
-    write_checkpoint,
-)
+from repro.sim.checkpoint import CHECKPOINT_VERSION, state_digest
 from repro.sim.clock import SimClock, SIM_EPOCH
 from repro.sim.errors import (
     CheckpointDigestError,
@@ -79,12 +74,10 @@ __all__ = [
     "adaptive_chunk_size",
     "deterministic_backoff",
     "lan_scope",
-    "read_checkpoint",
     "run_sweep",
     "shard_indices",
     "shared_pool",
     "should_fallback",
     "shutdown_shared_pool",
     "state_digest",
-    "write_checkpoint",
 ]

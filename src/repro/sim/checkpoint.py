@@ -1,7 +1,7 @@
 """Versioned, digest-protected JSON envelopes and the kernel state digest.
 
-Every checkpoint artefact — each line of a campaign's ``MANIFEST.jsonl``
-and each file of a sweep manifest — is one canonical JSON envelope
+Every checkpoint artefact — each line of a campaign's or a sweep's
+``MANIFEST.jsonl`` — is one canonical JSON envelope
 ``{format, kind, meta, state, state_digest, digest}``:
 
 * ``state_digest`` hashes only the payload (``state``).
@@ -24,7 +24,6 @@ recorded ``state_digest`` chain bit for bit.
 
 import hashlib
 import json
-import os
 
 from repro.sim.errors import (
     CheckpointDigestError,
@@ -36,13 +35,12 @@ from repro.sim.errors import (
 #: reject other versions with :class:`CheckpointVersionError`.
 CHECKPOINT_VERSION = 4
 
-#: Envelope kinds: each envelope declares what it is, so a sweep
-#: replica file can never be mistaken for a campaign manifest line.
+#: Envelope kinds: a manifest's header declares what the directory
+#: records, so a sweep manifest can never be mistaken for a campaign's;
+#: every later line of either is a ``campaign-checkpoint`` envelope.
 KIND_MANIFEST = "checkpoint-manifest"
 KIND_CHECKPOINT = "campaign-checkpoint"
 KIND_SWEEP = "sweep-manifest"
-KIND_REPLICA = "sweep-replica"
-KIND_FAILURE = "sweep-failure"
 
 
 def canonical_json(value):
@@ -131,46 +129,6 @@ def envelope_line(envelope):
     """
     return json.dumps(envelope, separators=(",", ":"),
                       allow_nan=False) + "\n"
-
-
-def write_checkpoint(path, envelope):
-    """Atomically write an envelope to ``path`` as one line.
-
-    Write-to-temp + ``os.replace`` means a crash (even SIGKILL) mid-
-    write leaves either the previous file or no file — never a
-    truncated one; the digest check in :func:`read_checkpoint` is the
-    backstop for every other corruption mode.
-    """
-    tmp = "%s.tmp" % path
-    try:
-        with open(tmp, "w", encoding="utf-8") as stream:
-            stream.write(envelope_line(envelope))
-        os.replace(tmp, path)
-    except OSError as exc:
-        # An unwritable or vanished checkpoint directory is a caller-
-        # facing condition, not an internal bug: surface it as the same
-        # typed error every other checkpoint failure mode uses.
-        raise CheckpointError(
-            "cannot write checkpoint %s: %s: %s"
-            % (path, type(exc).__name__, exc)) from exc
-    return path
-
-
-def read_checkpoint(path, kind=None):
-    """Read and fully validate an envelope from ``path``.
-
-    Every failure mode — unreadable file, truncated or non-JSON
-    content, missing fields, version mismatch, digest mismatch — maps
-    to a typed :class:`CheckpointError` subclass.
-    """
-    try:
-        with open(path, encoding="utf-8") as stream:
-            envelope = json.load(stream)
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(
-            "cannot read checkpoint %s: %s: %s"
-            % (path, type(exc).__name__, exc)) from exc
-    return verify_envelope(envelope, kind=kind, path=path)
 
 
 # -- kernel state ---------------------------------------------------------------

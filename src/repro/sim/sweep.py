@@ -319,10 +319,10 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
     :class:`SweepResult` whose replicas are always in index order,
     whichever path produced them.
 
-    With ``checkpoint_dir`` the sweep is resumable: a manifest pinning
-    (spec, base seed, replica count) lands first, then each replica's
-    reduction is written atomically the moment it streams back from a
-    worker.  ``resume=True`` loads that manifest, validates it against
+    With ``checkpoint_dir`` the sweep is resumable: a fresh
+    ``MANIFEST.jsonl`` pinning (spec, base seed, replica count) lands
+    first, then each replica's reduction is appended as one line the
+    moment it streams back from a worker.  ``resume=True`` loads that manifest, validates it against
     the requested spec/config (raising the typed
     :class:`~repro.sim.errors.CheckpointError` on any mismatch), short-
     circuits every recorded replica, and runs only the missing ones —
@@ -347,9 +347,9 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
 
     A ``KeyboardInterrupt`` mid-sweep tears the worker pool down hard
     but keeps the checkpoint manifest intact: every replica recorded
-    before the interrupt is already flushed (the writes are atomic and
-    per-replica), so ``--resume`` afterwards loses at most the work
-    that was in flight.
+    before the interrupt is already flushed (one appended line per
+    replica; a torn last line is dropped on load), so ``--resume``
+    afterwards loses at most the work that was in flight.
     """
     if config is None:
         config = SweepConfig(**overrides)

@@ -45,12 +45,11 @@ from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     canonical_json,
     kernel_state,
+    envelope_line,
     make_envelope,
     payload_digest,
-    read_checkpoint,
     state_digest,
     verify_envelope,
-    write_checkpoint,
 )
 from repro.sim.errors import (
     CheckpointDigestError,
@@ -208,17 +207,32 @@ def test_restored_rng_continues_the_stream():
 # -- envelope validation (typed error satellite) -------------------------------
 
 @pytest.fixture
-def envelope_on_disk(tmp_path):
+def envelope_text():
+    """A busy kernel's state as one manifest line."""
     kernel = build_busy_kernel()
     kernel.run(until=20.0)
-    path = str(tmp_path / "kernel.json")
-    write_checkpoint(path, make_envelope(KIND_STATE, kernel_state(kernel),
-                                         meta={"k": 1}))
-    return path
+    return envelope_line(make_envelope(KIND_STATE, kernel_state(kernel),
+                                       meta={"k": 1}))
 
 
-def test_read_checkpoint_round_trip(envelope_on_disk):
-    envelope = read_checkpoint(envelope_on_disk, kind=KIND_STATE)
+def _verify(envelope_text, **changes):
+    """Decode one manifest line, apply ``changes``, and verify it."""
+    envelope = json.loads(envelope_text)
+    envelope.update(changes)
+    return verify_envelope(envelope)
+
+
+def _store_holding(tmp_path, data):
+    """Load a checkpoint store whose manifest holds exactly ``data``."""
+    directory = tmp_path / "store"
+    directory.mkdir()
+    (directory / CheckpointStore.MANIFEST).write_bytes(data)
+    return CheckpointStore(str(directory), kind=None).load()
+
+
+def test_envelope_line_round_trip(envelope_text):
+    assert envelope_text.endswith("\n") and envelope_text.count("\n") == 1
+    envelope = verify_envelope(json.loads(envelope_text), kind=KIND_STATE)
     assert envelope["format"] == CHECKPOINT_VERSION
     assert envelope["meta"] == {"k": 1}
     witness = build_busy_kernel()
@@ -230,95 +244,70 @@ def test_read_checkpoint_round_trip(envelope_on_disk):
 
 def test_missing_file_raises_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
-        read_checkpoint(str(tmp_path / "absent.json"))
+        CheckpointStore(str(tmp_path / "absent")).load()
 
 
-def test_truncated_file_raises_checkpoint_error(envelope_on_disk):
-    data = open(envelope_on_disk, encoding="utf-8").read()
-    with open(envelope_on_disk, "w", encoding="utf-8") as stream:
-        stream.write(data[:len(data) // 2])
-    with pytest.raises(CheckpointError, match="cannot read"):
-        read_checkpoint(envelope_on_disk)
+def test_truncated_file_raises_checkpoint_error(tmp_path, envelope_text):
+    data = envelope_text.encode("utf-8")
+    with pytest.raises(CheckpointError, match="no intact header"):
+        _store_holding(tmp_path, data[:len(data) // 2])
 
 
-def test_non_json_garbage_raises_checkpoint_error(envelope_on_disk):
-    with open(envelope_on_disk, "w", encoding="utf-8") as stream:
-        stream.write("\x00\x01 not json at all")
+def test_non_json_garbage_raises_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError):
-        read_checkpoint(envelope_on_disk)
+        _store_holding(tmp_path, b"\x00\x01 not json at all")
 
 
-def test_version_mismatch_raises_version_error(envelope_on_disk):
-    envelope = json.load(open(envelope_on_disk, encoding="utf-8"))
-    envelope["format"] = CHECKPOINT_VERSION + 1
-    with open(envelope_on_disk, "w", encoding="utf-8") as stream:
-        json.dump(envelope, stream)
+def test_version_mismatch_raises_version_error(envelope_text):
     with pytest.raises(CheckpointVersionError) as excinfo:
-        read_checkpoint(envelope_on_disk)
+        _verify(envelope_text, format=CHECKPOINT_VERSION + 1)
     assert excinfo.value.expected == CHECKPOINT_VERSION
     assert excinfo.value.found == CHECKPOINT_VERSION + 1
 
 
-def _set_format(path, version):
-    with open(path, encoding="utf-8") as stream:
-        envelope = json.load(stream)
-    envelope["format"] = version
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(envelope, stream)
-
-
-def test_format_1_envelope_raises_version_error(envelope_on_disk):
+def test_format_1_envelope_raises_version_error(envelope_text):
     """Format 1 stored the trace with its index and eviction fields;
     such a file is refused by version, not replayed into divergence."""
-    _set_format(envelope_on_disk, 1)
     with pytest.raises(CheckpointVersionError) as excinfo:
-        read_checkpoint(envelope_on_disk)
+        _verify(envelope_text, format=1)
     assert (excinfo.value.expected, excinfo.value.found) == \
         (CHECKPOINT_VERSION, 1)
 
 
-def test_format_2_envelope_raises_version_error(envelope_on_disk):
+def test_format_2_envelope_raises_version_error(envelope_text):
     """Format 2 hashed the whole trace and span lists into the state
     digest; its digests mean something else, so it is refused too."""
-    _set_format(envelope_on_disk, 2)
     with pytest.raises(CheckpointVersionError) as excinfo:
-        read_checkpoint(envelope_on_disk)
+        _verify(envelope_text, format=2)
     assert (excinfo.value.expected, excinfo.value.found) == \
         (CHECKPOINT_VERSION, 2)
 
 
-def test_format_3_envelope_raises_version_error(envelope_on_disk):
+def test_format_3_envelope_raises_version_error(envelope_text):
     """Format 3 published the dispatch count only when ``Kernel.run``
     returned, so a checkpoint inside a long run digested a stale count;
     such a file is refused by version."""
-    _set_format(envelope_on_disk, 3)
     with pytest.raises(CheckpointVersionError) as excinfo:
-        read_checkpoint(envelope_on_disk)
+        _verify(envelope_text, format=3)
     assert (excinfo.value.expected, excinfo.value.found) == \
         (CHECKPOINT_VERSION, 3)
 
 
-def test_tampered_state_raises_digest_error(envelope_on_disk):
-    envelope = json.load(open(envelope_on_disk, encoding="utf-8"))
-    envelope["state"]["dispatched"] += 1
-    with open(envelope_on_disk, "w", encoding="utf-8") as stream:
-        json.dump(envelope, stream)
+def test_tampered_state_raises_digest_error(envelope_text):
+    state = json.loads(envelope_text)["state"]
+    state["dispatched"] += 1
     with pytest.raises(CheckpointDigestError):
-        read_checkpoint(envelope_on_disk)
+        _verify(envelope_text, state=state)
 
 
-def test_tampered_state_digest_raises_digest_error(envelope_on_disk):
-    envelope = json.load(open(envelope_on_disk, encoding="utf-8"))
-    envelope["state_digest"] = "0" * 64
-    with open(envelope_on_disk, "w", encoding="utf-8") as stream:
-        json.dump(envelope, stream)
+def test_tampered_state_digest_raises_digest_error(envelope_text):
     with pytest.raises(CheckpointDigestError):
-        read_checkpoint(envelope_on_disk)
+        _verify(envelope_text, state_digest="0" * 64)
 
 
-def test_wrong_kind_is_rejected(envelope_on_disk):
+def test_wrong_kind_is_rejected(envelope_text):
     with pytest.raises(CheckpointError, match="kind"):
-        read_checkpoint(envelope_on_disk, kind="sweep-manifest")
+        verify_envelope(json.loads(envelope_text), kind="sweep-manifest")
 
 
 def test_missing_fields_are_rejected():
@@ -344,16 +333,6 @@ def test_non_finite_state_raises_checkpoint_error(value):
     kernel.register_state_provider("test", _ValueProvider(value))
     with pytest.raises(CheckpointError, match="no canonical JSON form"):
         state_digest(kernel)
-
-
-def test_write_checkpoint_is_atomic(tmp_path):
-    """No ``.tmp`` residue, and the content is one canonical line."""
-    path = str(tmp_path / "atomic.json")
-    write_checkpoint(path, make_envelope(KIND_STATE, {"x": 1}))
-    assert not os.path.exists(path + ".tmp")
-    text = open(path, encoding="utf-8").read()
-    assert text.endswith("\n")
-    assert json.loads(text)["state"] == {"x": 1}
 
 
 # -- Hypothesis properties -----------------------------------------------------

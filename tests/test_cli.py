@@ -303,6 +303,10 @@ def test_sweep_rejects_bad_size_as_usage_error(flag, capsys):
 def test_sweep_checkpoint_then_resume_matches(tmp_path, capsys):
     import os
 
+    from repro import CampaignSpec, SweepConfig
+    from repro.core.ensemble import run_replica
+    from repro.core.resume import SweepCheckpoint
+
     directory = str(tmp_path / "sweep")
     base = ["--json", "sweep", "--campaign", "shamoon", "--replicas", "3",
             "--serial", "--seed", "6"]
@@ -311,7 +315,13 @@ def test_sweep_checkpoint_then_resume_matches(tmp_path, capsys):
     baseline = json.loads(out[out.index("{"):])
     assert main(base + ["--checkpoint-dir", directory]) == 0
     capsys.readouterr()
-    os.remove(os.path.join(directory, "replica-0001.json"))
+    assert os.listdir(directory) == ["MANIFEST.jsonl"]
+    # Replica 1 never landed: record only 0 and 2.
+    spec = CampaignSpec.quick("shamoon")
+    manifest = SweepCheckpoint.create(
+        directory, spec, SweepConfig(replicas=3, base_seed=6))
+    for index in (0, 2):
+        manifest.record(run_replica(spec, index, 6))
     assert main(base + ["--checkpoint-dir", directory, "--resume"]) == 0
     out = capsys.readouterr().out
     resumed = json.loads(out[out.index("{"):])

@@ -19,7 +19,8 @@ import pytest
 
 from repro import CampaignSpec, SweepConfig, run_sweep
 from repro.core.ensemble import CAMPAIGNS, run_replica
-from repro.core.resume import SweepCheckpoint
+from repro.core.resume import SweepCheckpoint, interrupt_after
+from repro.sim.checkpoint import envelope_line, make_envelope
 from repro.sim.errors import CheckpointDigestError, CheckpointError
 
 BASE_SEED = 9
@@ -39,9 +40,23 @@ def _canonical(value):
                       default=str)
 
 
-def _replica_files(directory):
-    return sorted(name for name in os.listdir(directory)
-                  if name.startswith("replica-"))
+def _manifest(directory):
+    return os.path.join(directory, "MANIFEST.jsonl")
+
+
+def _lines(directory):
+    """The manifest's lines: a header, then one per recorded replica."""
+    with open(_manifest(directory), "rb") as stream:
+        return stream.read().splitlines(keepends=True)
+
+
+def _record_only(directory, spec, config, indexes):
+    """A manifest holding exactly ``indexes`` — what a crash after those
+    replicas landed leaves, in any order and with any gaps."""
+    manifest = SweepCheckpoint.create(directory, spec, config)
+    for index in indexes:
+        manifest.record(run_replica(spec, index, config.base_seed))
+    return manifest
 
 
 def _assert_byte_identical(resumed, baseline):
@@ -60,22 +75,24 @@ def _assert_byte_identical(resumed, baseline):
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_interrupted_sweep_resumes_byte_identically(name, tmp_path):
-    """Delete a subset of recorded replicas (a crash mid-sweep leaves
-    exactly this state) and resume: everything derived from the merged
-    ensemble must match the uninterrupted run byte for byte."""
+    """Resume from a manifest missing replicas 1 and 3: everything
+    derived from the merged ensemble must match the uninterrupted run
+    byte for byte."""
     spec = _quick(name)
     baseline = run_sweep(spec, _config())
     directory = str(tmp_path / name)
     recorded = run_sweep(spec, _config(), checkpoint_dir=directory)
     _assert_byte_identical(recorded, baseline)
-    assert len(_replica_files(directory)) == 4
-    for index in (1, 3):
-        os.remove(os.path.join(directory, "replica-%04d.json" % index))
+    assert os.listdir(directory) == ["MANIFEST.jsonl"]
+    assert len(_lines(directory)) == 1 + 4
+    _record_only(directory, spec, _config(), (0, 2))
     resumed = run_sweep(spec, _config(), checkpoint_dir=directory,
                         resume=True)
     _assert_byte_identical(resumed, baseline)
-    # The resumed run re-recorded the missing replicas.
-    assert len(_replica_files(directory)) == 4
+    # The resumed run appended the missing replicas.
+    assert sorted(SweepCheckpoint.load(directory).completed()) \
+        == [0, 1, 2, 3]
+    assert os.listdir(directory) == ["MANIFEST.jsonl"]
 
 
 def test_parallel_resume_matches_serial_recording(tmp_path):
@@ -84,15 +101,28 @@ def test_parallel_resume_matches_serial_recording(tmp_path):
     spec = _quick("shamoon")
     directory = str(tmp_path / "mixed")
     baseline = run_sweep(spec, _config(replicas=6))
-    run_sweep(spec, _config(replicas=6), checkpoint_dir=directory)
-    for index in (0, 2, 5):
-        os.remove(os.path.join(directory, "replica-%04d.json" % index))
+    _record_only(directory, spec, _config(replicas=6), (4, 1, 3))
     resumed = run_sweep(
         spec, _config(replicas=6, mode="parallel", workers=2,
                       chunk_size=1, fallback=False),
         checkpoint_dir=directory, resume=True)
     assert resumed.dispatch["path"] == "warm-pool"
     _assert_byte_identical(resumed, baseline)
+
+
+def test_interrupt_after_cuts_a_sweep_manifest(tmp_path):
+    """The one crash simulator cuts sweep manifests as it cuts campaign
+    manifests: the header plus the first ``keep`` lines survive."""
+    spec = _quick("stuxnet-epidemic")
+    directory = str(tmp_path / "cut")
+    baseline = run_sweep(spec, _config(), checkpoint_dir=directory)
+    interrupt_after(directory, keep=2)
+    assert len(_lines(directory)) == 1 + 2
+    assert sorted(SweepCheckpoint.load(directory).completed()) == [0, 1]
+    resumed = run_sweep(spec, _config(), checkpoint_dir=directory,
+                        resume=True)
+    _assert_byte_identical(resumed, baseline)
+    assert len(_lines(directory)) == 1 + 4
 
 
 def test_resume_with_nothing_pending_short_circuits(tmp_path):
@@ -138,41 +168,99 @@ def test_resume_rejects_mismatched_run(tmp_path, mutate, fragment):
 
 
 def test_resume_rejects_corrupted_replica_file(tmp_path):
+    """A damaged line before the last is not a torn append: the digest
+    check refuses it instead of silently re-running the replica."""
     directory = str(tmp_path / "corrupt")
     run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory)
-    victim = os.path.join(directory, "replica-0001.json")
-    envelope = json.load(open(victim, encoding="utf-8"))
+    lines = _lines(directory)
+    envelope = json.loads(lines[2])
     envelope["state"]["replica"]["trace_records"] += 1
-    with open(victim, "w", encoding="utf-8") as stream:
-        json.dump(envelope, stream)
+    lines[2] = (json.dumps(envelope) + "\n").encode("utf-8")
+    with open(_manifest(directory), "wb") as stream:
+        stream.write(b"".join(lines))
     with pytest.raises(CheckpointDigestError):
         run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory,
                   resume=True)
 
 
-def test_resume_rejects_truncated_replica_file(tmp_path):
-    directory = str(tmp_path / "trunc")
-    run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory)
-    victim = os.path.join(directory, "replica-0002.json")
-    data = open(victim, encoding="utf-8").read()
-    with open(victim, "w", encoding="utf-8") as stream:
-        stream.write(data[:80])
-    with pytest.raises(CheckpointError, match="cannot read"):
-        run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory,
+def test_resume_drops_torn_replica_line(tmp_path):
+    """A torn last line is what a crash mid-append leaves: resume drops
+    it, re-runs that replica, and matches the uninterrupted run."""
+    spec = _quick("stuxnet-epidemic")
+    directory = str(tmp_path / "torn")
+    baseline = run_sweep(spec, _config(), checkpoint_dir=directory)
+    lines = _lines(directory)
+    with open(_manifest(directory), "wb") as stream:
+        stream.write(b"".join(lines[:-1]) + lines[-1][:80])
+    assert sorted(SweepCheckpoint.load(directory).completed()) == [0, 1, 2]
+    resumed = run_sweep(spec, _config(), checkpoint_dir=directory,
+                        resume=True)
+    _assert_byte_identical(resumed, baseline)
+    assert len(_lines(directory)) == 1 + 4
+
+
+def test_resume_rejects_old_layout_directory(tmp_path):
+    """A directory of per-replica files (``sweep.json`` plus
+    ``replica-NNNN.json``) has no manifest to resume from."""
+    directory = tmp_path / "old"
+    directory.mkdir()
+    spec = _quick("shamoon")
+    (directory / "sweep.json").write_text(envelope_line(make_envelope(
+        "sweep-manifest", {"spec": spec.as_dict(), "base_seed": BASE_SEED,
+                           "replicas": 4})))
+    replica = run_replica(spec, 0, BASE_SEED)
+    (directory / "replica-0000.json").write_text(envelope_line(
+        make_envelope("sweep-replica", {"replica": replica.as_dict()})))
+    with pytest.raises(CheckpointError, match="MANIFEST.jsonl"):
+        run_sweep(spec, _config(), checkpoint_dir=str(directory),
                   resume=True)
 
 
-def test_resume_rejects_misfiled_replica(tmp_path):
-    """A replica file whose name disagrees with the index it records is
-    a manifest inconsistency, not something to guess about."""
-    directory = str(tmp_path / "misfiled")
-    run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory)
-    os.replace(os.path.join(directory, "replica-0001.json"),
-               os.path.join(directory, "replica-0003.json"))
-    os.remove(os.path.join(directory, "replica-0000.json"))
-    with pytest.raises(CheckpointError, match="records index"):
-        run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory,
-                  resume=True)
+def test_stale_run_never_splices_into_a_fresh_sweep(tmp_path, monkeypatch):
+    """A completed seed-1 sweep, then a seed-2 sweep in the same
+    directory interrupted after one replica: resuming seed 2 must not
+    pick up any of seed 1's replicas.  The epidemic campaign gives each
+    replica its own trace digest, so a splice cannot hide."""
+    spec = _quick("stuxnet-epidemic")
+    directory = str(tmp_path / "reused")
+    run_sweep(spec, SweepConfig(replicas=4, base_seed=1, mode="serial"),
+              checkpoint_dir=directory)
+    seed_2 = SweepConfig(replicas=4, base_seed=2, mode="serial")
+    original = SweepCheckpoint.record
+
+    def interrupt_after_first(self, replica):
+        original(self, replica)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(SweepCheckpoint, "record", interrupt_after_first)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(spec, seed_2, checkpoint_dir=directory)
+    monkeypatch.undo()
+    resumed = run_sweep(spec, seed_2, checkpoint_dir=directory, resume=True)
+    baseline = run_sweep(spec, seed_2)
+    assert len(set(baseline.digests())) == 4
+    assert [r.seed for r in resumed.replicas] \
+        == ["2|replica-%04d" % index for index in range(4)]
+    _assert_byte_identical(resumed, baseline)
+
+
+@pytest.mark.parametrize("recorded, fragment", [
+    # A replica of another base seed, filed under this sweep's index 1.
+    (lambda spec: [run_replica(spec, 1, BASE_SEED + 1)], "seed"),
+    (lambda spec: [run_replica(spec, 1, BASE_SEED)] * 2, "again"),
+    (lambda spec: [run_replica(spec, 4, BASE_SEED)], "outside"),
+], ids=["wrong-seed", "duplicate", "out-of-range"])
+def test_load_rejects_inconsistent_replica_line(tmp_path, recorded,
+                                                fragment):
+    spec = _quick("shamoon")
+    directory = str(tmp_path / "lines")
+    manifest = SweepCheckpoint.create(directory, spec, _config())
+    for replica in recorded(spec):
+        manifest.record(replica)
+    with pytest.raises(CheckpointError, match=fragment):
+        SweepCheckpoint.load(directory)
+    with pytest.raises(CheckpointError, match=fragment):
+        run_sweep(spec, _config(), checkpoint_dir=directory, resume=True)
 
 
 def test_sweep_manifest_round_trip(tmp_path):
@@ -228,11 +316,19 @@ def _repo_src():
                                         os.pardir, "src"))
 
 
+def _line_count(path):
+    try:
+        with open(path, "rb") as stream:
+            return stream.read().count(b"\n")
+    except FileNotFoundError:
+        return 0
+
+
 def test_sigkilled_sweep_resumes_byte_identically(tmp_path):
     """SIGKILL a live checkpointed sweep process mid-run, then resume
-    from whatever landed on disk.  Atomic replica writes guarantee the
-    directory is never half-written, so the resumed result must match
-    the uninterrupted baseline exactly — however far the victim got."""
+    from whatever landed on disk.  Only the last manifest line can be
+    torn, and load drops it, so the resumed result must match the
+    uninterrupted baseline exactly — however far the victim got."""
     directory = str(tmp_path / "crash")
     env = dict(os.environ)
     env["PYTHONPATH"] = _repo_src() + os.pathsep + env.get("PYTHONPATH", "")
@@ -246,8 +342,7 @@ def test_sigkilled_sweep_resumes_byte_identically(tmp_path):
         while time.monotonic() < deadline:
             if process.poll() is not None:
                 break  # finished before we struck; resume still works
-            if (os.path.isdir(directory)
-                    and len(_replica_files(directory)) >= 2):
+            if _line_count(_manifest(directory)) >= 1 + 2:
                 process.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.02)
@@ -256,13 +351,11 @@ def test_sigkilled_sweep_resumes_byte_identically(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait()
-    survivors = _replica_files(directory)
-    assert survivors, "no replicas recorded before the kill"
-    # Every surviving file validates — SIGKILL never truncates one.
-    manifest = SweepCheckpoint.load(directory)
-    completed = manifest.completed()
-    assert sorted(completed) == [
-        int(name[len("replica-"):-len(".json")]) for name in survivors]
+    survivors = _line_count(_manifest(directory)) - 1
+    assert survivors >= 2, "no replicas recorded before the kill"
+    # Every complete line validates; a serial sweep records in order.
+    assert sorted(SweepCheckpoint.load(directory).completed()) \
+        == list(range(survivors))
 
     spec = _quick("shamoon")
     config = _config(replicas=10)
@@ -270,14 +363,6 @@ def test_sigkilled_sweep_resumes_byte_identically(tmp_path):
     resumed = run_sweep(spec, config, checkpoint_dir=directory,
                         resume=True)
     _assert_byte_identical(resumed, baseline)
-
-
-def _line_count(path):
-    try:
-        with open(path, "rb") as stream:
-            return stream.read().count(b"\n")
-    except FileNotFoundError:
-        return 0
 
 
 def test_sigkilled_campaign_resumes_to_uninterrupted_output(tmp_path):
