@@ -96,11 +96,11 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
 
     serial_config = SweepConfig(replicas=replicas, workers=1,
                                 mode="serial", base_seed=BASE_SEED)
-    # chunk_size=1 + fallback=False pins the pure pool path: no serial
+    # mode="parallel" + chunk_size=1 pins the pure pool path: no serial
     # probe inside the timed region, every replica through a worker.
     parallel_config = SweepConfig(replicas=replicas, workers=WORKERS,
                                   mode="parallel", base_seed=BASE_SEED,
-                                  chunk_size=1, fallback=False)
+                                  chunk_size=1)
     # Same pool key, so the same warm workers, under the supervised
     # policy: retries and quarantine armed, nothing failing.
     supervised_config = SweepConfig(replicas=replicas, workers=WORKERS,

@@ -254,7 +254,7 @@ def _cmd_sweep(args):
     try:
         config = SweepConfig(replicas=args.replicas, workers=args.workers,
                              chunk_size=args.chunk_size, base_seed=args.seed,
-                             mode=mode, fallback=args.fallback)
+                             mode=mode)
     except ValueError as exc:
         # A bad size is a usage error: one line and argparse's status 2.
         print("repro sweep: error: %s" % exc, file=sys.stderr)
@@ -387,7 +387,17 @@ def build_parser():
     epidemic.set_defaults(func=_cmd_epidemic)
 
     sweep = sub.add_parser(
-        "sweep", help="Monte-Carlo ensemble of seeded campaign replicas")
+        "sweep", help="Monte-Carlo ensemble of seeded campaign replicas",
+        description="Run seeded replicas of a campaign and report their "
+                    "distribution.  By default (more than one worker and "
+                    "replica) the sweep is adaptive: it "
+                    "times one replica in-process, then either runs the "
+                    "rest on a warm worker pool (first failure aborts) or, "
+                    "when they cost less than the parallelism break-even, "
+                    "finishes in-process.  --serial runs every replica "
+                    "in-process; --supervised runs them all on the pool, "
+                    "retrying and quarantining failed replicas.  Every "
+                    "path gives byte-identical replicas.")
     sweep.add_argument("--campaign", required=True,
                        choices=sorted(CAMPAIGNS))
     sweep.add_argument("--replicas", type=int, default=16)
@@ -397,13 +407,8 @@ def build_parser():
                        help="base seed each replica's seed is forked from")
     sweep.add_argument("--chunk-size", type=int, default=None,
                        help="replicas per dispatched work unit")
-    sweep.add_argument("--no-fallback", dest="fallback",
-                       action="store_false", default=True,
-                       help="always dispatch to worker processes, even "
-                            "when the probed ensemble cost is below the "
-                            "parallelism break-even")
     sweep.add_argument("--serial", action="store_true",
-                       help="force the bit-identical serial fallback path")
+                       help="run every replica in this process")
     sweep.add_argument("--supervised", action="store_true",
                        help="retry and quarantine failed replicas: worker "
                             "crashes, hangs, and timeouts cost one "

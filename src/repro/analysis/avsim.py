@@ -75,12 +75,6 @@ class AntivirusProduct:
             )
         return findings
 
-    def detected_families(self):
-        families = set()
-        for name, _ in self.detections:
-            families.add(name.rsplit("-auto-", 1)[0].split("-")[0])
-        return sorted(families)
-
     @property
     def alert_count(self):
         return len([e for e in self.host.event_log.entries(

@@ -38,12 +38,6 @@ class TrustStore:
 
     # -- administration ------------------------------------------------------
 
-    def add_trusted_root(self, cert):
-        self._roots[cert.subject] = cert
-
-    def trusted_root(self, subject):
-        return self._roots.get(subject)
-
     def mark_untrusted(self, cert):
         """Move a certificate to the untrusted store (advisory 2718704)."""
         self._untrusted_fingerprints.add(cert.public_key.fingerprint())

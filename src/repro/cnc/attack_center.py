@@ -139,9 +139,6 @@ class AttackCenter:
                 seen.add(row["client_id"])
         return len(seen)
 
-    def total_stolen_bytes(self):
-        return sum(server.bytes_received for server in self.servers)
-
     def __repr__(self):
         return "AttackCenter(%d servers, %d clients, %d intel items)" % (
             len(self.servers), self.total_clients(),

@@ -289,9 +289,6 @@ class LuaVM:
         bridge.__name__ = "lua_bridge_%s" % name
         self._globals.declare(name, bridge)
 
-    def set_global(self, name, value):
-        self._globals.declare(name, _to_lua(value))
-
     def get_global(self, name):
         return _from_lua(self._globals.lookup(name))
 

@@ -49,9 +49,6 @@ class Internet:
         self.dns.register(domain, address)
         return address
 
-    def site_at(self, address):
-        return self._sites.get(address)
-
     def site_count(self):
         return len(self._sites)
 

@@ -20,10 +20,6 @@ class Step7Project:
         self.folder = folder
         self.blocks = []
 
-    def add_block(self, block):
-        self.blocks.append(block)
-        return block
-
     def __repr__(self):
         return "Step7Project(%r, %d blocks)" % (self.name, len(self.blocks))
 
@@ -93,9 +89,6 @@ class Step7Application:
 
     def list_plc_blocks(self, plc):
         return self.host.hooks.call("s7.list_blocks", plc)
-
-    def delete_plc_block(self, plc, name):
-        return self.host.hooks.call("s7.delete_block", plc, name)
 
     def monitor_frequency(self, plc):
         """The operator's HMI frequency readout."""

@@ -30,7 +30,6 @@ from repro.sim.sweep import (
     SweepResult,
     adaptive_chunk_size,
     run_sweep,
-    shard_indices,
     should_fallback,
 )
 from repro.sim.trace import TraceLog, TraceRecord
@@ -75,7 +74,6 @@ __all__ = [
     "deterministic_backoff",
     "lan_scope",
     "run_sweep",
-    "shard_indices",
     "shared_pool",
     "should_fallback",
     "shutdown_shared_pool",

@@ -175,14 +175,6 @@ class FaultInjector:
         return [self.inject_takedown(domain, at=start + index * interval)
                 for index, domain in enumerate(domains)]
 
-    def inject_sinkhole_campaign(self, domains, start=None, interval=0.0,
-                                 sinkhole_address="sinkhole.research.net"):
-        """Staggered sinkholing sweep across a domain list."""
-        start = self.kernel.clock.now if start is None else float(start)
-        return [self.inject_sinkhole(domain, at=start + index * interval,
-                                     sinkhole_address=sinkhole_address)
-                for index, domain in enumerate(domains)]
-
     # -- checkpointing --------------------------------------------------------
 
     def snapshot_state(self):
@@ -211,9 +203,6 @@ class FaultInjector:
     def schedule(self):
         """The full schedule as comparable dicts (for determinism tests)."""
         return [w.as_dict() for w in self._windows]
-
-    def total_fired(self):
-        return sum(w.fired for w in self._windows)
 
     # -- query hooks (called by the network substrate) ------------------------
 

@@ -15,17 +15,25 @@ properties make the ensemble trustworthy:
    :func:`~repro.core.ensemble.run_replica`, so ``mode="serial"``
    reproduces the parallel results exactly, replica for replica.
 
-There are two dispatch paths: serial, and the warm, reusable,
-supervised worker pool of :mod:`repro.sim.workerpool` (spec shipped
-once per worker, compact binary result rows, cross-sweep reuse).
-Supervision is a policy of the pool run, not a path: default sweeps
-fail fast on the first failed replica, supervised ones retry and
-quarantine.  Default sweeps are also *adaptive*: a timed in-process
-probe of the first pending replica sizes the chunks
-(:func:`adaptive_chunk_size`) and, when the whole remaining ensemble
-costs less than the parallelism break-even, skips process dispatch
-entirely (:func:`should_fallback`).  Which path actually ran is
-recorded in :attr:`SweepResult.dispatch` so tests can assert on it.
+``SweepConfig.mode`` alone picks the dispatch path.  ``"serial"`` runs
+in-process; the other three run on the warm, reusable, supervised
+worker pool of :mod:`repro.sim.workerpool` (spec shipped once per
+worker, compact binary result rows, cross-sweep reuse):
+
+* ``"parallel"`` sends every pending replica to the pool under the
+  fail-fast policy, with explicit or spread-sized chunks;
+* ``"auto"`` (the default) is adaptive: a timed in-process probe of
+  the first pending replica sizes the chunks
+  (:func:`adaptive_chunk_size`) and, when the whole remaining ensemble
+  costs less than the parallelism break-even, skips process dispatch
+  entirely (:func:`should_fallback`); with one worker or one replica
+  it is plain serial;
+* ``"supervised"`` runs the pool under a retry-and-quarantine
+  :class:`~repro.sim.workerpool.SupervisorConfig` and never probes
+  in-process.
+
+Which path actually ran is recorded in :attr:`SweepResult.dispatch` so
+tests can assert on it.
 
 This module sits in :mod:`repro.sim` but drives :mod:`repro.core`
 campaigns — the one place the layering inverts — so it imports the
@@ -115,19 +123,20 @@ def _integral(name, value):
 class SweepConfig:
     """How to run an ensemble: size, pool shape, and dispatch mode.
 
-    ``mode="parallel"`` (or ``"auto"`` with more than one worker and
-    replica) runs on the warm worker pool of :mod:`repro.sim.workerpool`
-    and stops at the first failed replica; ``mode="supervised"`` runs on
-    the same pool but retries and quarantines failed replicas instead.
+    ``mode`` is the only thing that picks the path (see the module
+    docstring): ``"serial"``, ``"parallel"`` (every replica on the warm
+    worker pool, stopping at the first failed replica), ``"auto"``
+    (probe, then the pool or an in-process fallback) or
+    ``"supervised"`` (the pool, retrying and quarantining failed
+    replicas instead).
     """
 
-    __slots__ = ("replicas", "workers", "chunk_size", "base_seed", "mode",
-                 "fallback")
+    __slots__ = ("replicas", "workers", "chunk_size", "base_seed", "mode")
 
     MODES = ("auto", "serial", "parallel", "supervised")
 
     def __init__(self, replicas=16, workers=None, chunk_size=None,
-                 base_seed=0, mode="auto", fallback=True):
+                 base_seed=0, mode="auto"):
         replicas = _integral("replicas", replicas)
         if workers is None:
             workers = os.cpu_count() or 1
@@ -137,16 +146,11 @@ class SweepConfig:
         if mode not in self.MODES:
             raise ValueError("mode must be one of %s, got %r"
                              % (self.MODES, mode))
-        if not isinstance(fallback, bool):
-            raise TypeError("fallback must be a bool, got %r" % (fallback,))
         self.replicas = replicas
         self.workers = workers
         self.chunk_size = chunk_size
         self.base_seed = base_seed
         self.mode = mode
-        #: Allow the adaptive serial fallback when the probed ensemble
-        #: cost sits below the parallelism break-even.
-        self.fallback = fallback
 
     def resolved_mode(self):
         """The dispatch mode ``run_sweep`` will actually use."""
@@ -165,14 +169,9 @@ class SweepConfig:
 
     def __repr__(self):
         return ("SweepConfig(replicas=%d, workers=%d, chunk_size=%r, "
-                "base_seed=%r, mode=%r, fallback=%r)"
+                "base_seed=%r, mode=%r)"
                 % (self.replicas, self.workers, self.chunk_size,
-                   self.base_seed, self.mode, self.fallback))
-
-
-def shard_indices(replicas, chunk_size):
-    """Split ``range(replicas)`` into consecutive chunks."""
-    return shard_chunks(range(replicas), chunk_size)
+                   self.base_seed, self.mode))
 
 
 def shard_chunks(indices, chunk_size):
@@ -310,40 +309,38 @@ class SweepResult:
                    self.wall_seconds))
 
 
-def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
-              supervision=None, retry_quarantined=True, **overrides):
-    """Run an ensemble of seeded replicas of ``spec``.
+def run_sweep(spec, config, checkpoint_dir=None, resume=False,
+              supervision=None, retry_quarantined=True):
+    """Run an ensemble of seeded replicas of ``spec`` as ``config`` says.
 
-    Pass a :class:`SweepConfig`, or keyword overrides to build one
-    (``run_sweep(spec, replicas=32, workers=8)``).  Returns a
-    :class:`SweepResult` whose replicas are always in index order,
-    whichever path produced them.
+    Returns a :class:`SweepResult` whose replicas are always in index
+    order, whichever path produced them.
 
     With ``checkpoint_dir`` the sweep is resumable: a fresh
     ``MANIFEST.jsonl`` pinning (spec, base seed, replica count) lands
     first, then each replica's reduction is appended as one line the
-    moment it streams back from a worker.  ``resume=True`` loads that manifest, validates it against
-    the requested spec/config (raising the typed
-    :class:`~repro.sim.errors.CheckpointError` on any mismatch), short-
-    circuits every recorded replica, and runs only the missing ones —
-    per-replica seeding makes the merged result byte-identical to an
-    uninterrupted sweep, down to the trace digests.
+    moment it streams back from a worker.  ``resume=True`` loads that
+    manifest, validates it against the requested spec/config (raising
+    the typed :class:`~repro.sim.errors.CheckpointError` on any
+    mismatch), short-circuits every recorded replica, and runs only the
+    missing ones — per-replica seeding makes the merged result
+    byte-identical to an uninterrupted sweep, down to the trace digests.
 
-    Parallel sweeps run on the warm worker pool under the fail-fast
-    policy (:data:`~repro.sim.workerpool.FAIL_FAST`): the first failed
-    replica raises its typed error.  ``supervision`` (a
-    :class:`~repro.sim.workerpool.SupervisorConfig`) or
-    ``mode="supervised"`` runs the same pool under that policy instead:
-    crashes, hangs, and timeouts cost single replica attempts instead of
-    the ensemble, and poison replicas land as
-    :attr:`SweepResult.failures` (quarantine records persist in the
-    manifest).  Supervised sweeps skip the in-process cost probe, so a
-    poison replica never runs in this process, and only an explicit
-    ``mode="serial"`` refuses supervision.  On resume, quarantined
-    replicas are retried by default; ``retry_quarantined=False`` skips
-    them and carries their failure records into the result instead —
-    both choices are deterministic, because a retried replica re-runs
-    from its pure ``replica_seed``.
+    ``"parallel"`` and ``"auto"`` sweeps run the pool under the
+    fail-fast policy (:data:`~repro.sim.workerpool.FAIL_FAST`): the
+    first failed replica raises its typed error.  ``mode="supervised"``
+    runs the same pool under ``supervision`` (a
+    :class:`~repro.sim.workerpool.SupervisorConfig`; the default one
+    when None) instead: crashes, hangs, and timeouts cost single
+    replica attempts instead of the ensemble, and poison replicas land
+    as :attr:`SweepResult.failures` (quarantine records persist in the
+    manifest).  Passing ``supervision`` with any other mode raises
+    ``ValueError``.  Supervised sweeps skip the in-process cost probe,
+    so a poison replica never runs in this process.  On resume,
+    quarantined replicas are retried by default;
+    ``retry_quarantined=False`` skips them and carries their failure
+    records into the result instead — both choices are deterministic,
+    because a retried replica re-runs from its pure ``replica_seed``.
 
     A ``KeyboardInterrupt`` mid-sweep tears the worker pool down hard
     but keeps the checkpoint manifest intact: every replica recorded
@@ -351,22 +348,16 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
     replica; a torn last line is dropped on load), so ``--resume``
     afterwards loses at most the work that was in flight.
     """
-    if config is None:
-        config = SweepConfig(**overrides)
-    elif overrides:
-        raise TypeError("pass either a SweepConfig or keyword overrides, "
-                        "not both")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
     mode = config.resolved_mode()
-    if supervision is not None or mode == "supervised":
-        if config.mode == "serial":
-            raise ValueError("serial mode cannot be supervised: "
-                             "supervision needs worker processes")
+    if supervision is not None and mode != "supervised":
+        raise ValueError("supervision is the policy of mode='supervised'; "
+                         "this sweep's mode is %r" % config.mode)
+    if mode == "supervised" and supervision is None:
         from repro.sim.workerpool import SupervisorConfig
 
-        mode = "supervised"
-        supervision = supervision or SupervisorConfig()
+        supervision = SupervisorConfig()
     from repro.core.ensemble import run_replica
 
     manifest = None
@@ -405,15 +396,13 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
         "requested_mode": config.mode,
         "path": "serial" if mode == "serial" else "warm-pool",
         "pool_reused": False,
-        "fallback_enabled": config.fallback,
         "probe_seconds": None,
         "estimated_seconds": None,
         "break_even_seconds": break_even,
     }
     replicas = []
     rest = pending
-    if mode == "parallel" and pending and \
-            (config.fallback or config.chunk_size is None):
+    if config.mode == "auto" and mode == "parallel" and pending:
         # Cost probe: run the first pending replica in-process and time
         # it.  The measurement steers adaptive chunk sizing and the
         # serial fallback; the probe replica is a full, recorded result,
@@ -425,8 +414,7 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
         rest = pending[1:]
         dispatch["probe_seconds"] = probe
         dispatch["estimated_seconds"] = probe * len(rest)
-        if rest and config.fallback and \
-                should_fallback(len(rest), probe, break_even):
+        if rest and should_fallback(len(rest), probe, break_even):
             # Below break-even: process dispatch would cost more than it
             # buys.  Finish in-process — byte-identical, because both
             # paths run the same run_replica from the same pure

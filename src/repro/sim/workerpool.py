@@ -20,17 +20,20 @@ Every parallel sweep runs on a :class:`WorkerPool`:
   decode, which is both smaller and a standing determinism check.
 * **Always supervised.**  Workers announce each replica (``start``),
   report its outcome (``ok``/``error``), say when a chunk is drained
-  (``idle``) and heartbeat from a side thread, so crashes, hangs and
-  timeouts are always detected.  A dead worker costs only its
-  in-flight replica: the untouched tail of its chunk is re-queued as
-  its own chunk (*re-splitting*) and a fresh worker takes its place.
+  (``idle``) and heartbeat from a side thread every
+  :data:`HEARTBEAT_SECONDS`, so crashes, hangs (no heartbeat for
+  :data:`HANG_TIMEOUT_SECONDS`) and timeouts are always detected.  A
+  dead worker costs only its in-flight replica: the untouched tail of
+  its chunk is re-queued as its own chunk (*re-splitting*) and a fresh
+  worker takes its place.
 
 What a failure *does* is a per-run policy, a :class:`SupervisorConfig`
-passed to :meth:`WorkerPool.run`.  Default sweeps use :data:`FAIL_FAST`
-(no retries; the first failure raises the typed
+passed to :meth:`WorkerPool.run`.  ``"parallel"`` and ``"auto"`` sweeps
+use :data:`FAIL_FAST` (no retries; the first failure raises the typed
 :class:`~repro.sim.errors.PoisonReplicaError` or
 :class:`~repro.sim.errors.ReplicaTimeoutError`).  Supervised sweeps
-retry a failed replica after a deterministic jittered backoff (see
+retry a failed replica after a deterministic jittered backoff
+(:data:`RETRY_BACKOFF`, scheduled by
 :func:`repro.sim.retry.deterministic_backoff`) until its attempts run
 out, then record a structured
 :class:`~repro.core.ensemble.ReplicaFailure` (``on_failure=
@@ -94,6 +97,25 @@ _CHAOS_SLEEP_SECONDS = 3600.0
 #: Exit code an injected worker crash dies with (mimics ``os._exit``
 #: after a segfault handler; distinguishable in process tables).
 _CHAOS_EXIT_CODE = 70
+
+#: Longest the supervisor sleeps between checks for timeouts, hangs
+#: and due retries.
+POLL_SECONDS = 0.05
+
+#: How often a busy worker's side thread heartbeats.  Workers read it
+#: in their own process, so a parent-side override never reaches them.
+HEARTBEAT_SECONDS = 0.25
+
+#: Silence after which a busy worker counts as hung and is killed:
+#: twenty missed heartbeats.
+HANG_TIMEOUT_SECONDS = 20 * HEARTBEAT_SECONDS
+
+#: Shape of the deterministic jittered backoff before a replica's
+#: retries: 50 ms doubling to a 2 s cap.  How many retries a replica
+#: gets is each run's ``max_replica_retries``, not this policy's
+#: ``max_attempts``.
+RETRY_BACKOFF = RetryPolicy(base_delay=0.05, multiplier=2.0, max_delay=2.0,
+                            jitter=0.25)
 
 #: Fixed row header: index, trace_records, events_dispatched,
 #: sim_seconds, wall_seconds.
@@ -238,7 +260,7 @@ class ChaosPlan:
 
 
 class SupervisorConfig:
-    """How one pool run polices its workers and treats failures.
+    """How one pool run treats failures.
 
     * ``replica_timeout`` — wall-clock seconds one replica attempt may
       take before its worker is killed (None = unlimited).
@@ -250,29 +272,22 @@ class SupervisorConfig:
       quarantine.
     * ``on_failure`` — ``"quarantine"`` records a ``ReplicaFailure``
       and keeps sweeping; ``"fail"`` raises the typed error instead.
-    * ``heartbeat_interval`` / ``hang_timeout`` — busy workers
-      heartbeat every ``heartbeat_interval`` seconds; a busy worker
-      silent for ``hang_timeout`` (default ``20 x heartbeat_interval``)
-      is treated as hung and killed.
-    * ``retry_policy`` — the :class:`~repro.sim.retry.RetryPolicy`
-      shaping the (deterministic, jittered) backoff before a replica's
-      retry attempts; the default backs off 50 ms doubling to a 2 s cap.
     * ``chaos`` — an optional :class:`ChaosPlan` for fault injection.
+
+    The supervisor's own timings are module constants, not settings:
+    :data:`POLL_SECONDS`, :data:`HEARTBEAT_SECONDS`,
+    :data:`HANG_TIMEOUT_SECONDS` and :data:`RETRY_BACKOFF`.
     """
 
     __slots__ = ("replica_timeout", "sweep_deadline", "max_replica_retries",
-                 "on_failure", "poll_interval", "heartbeat_interval",
-                 "hang_timeout", "retry_policy", "chaos")
+                 "on_failure", "chaos")
 
     ON_FAILURE = ("quarantine", "fail")
 
     def __init__(self, replica_timeout=None, sweep_deadline=None,
-                 max_replica_retries=2, on_failure="quarantine",
-                 poll_interval=0.05, heartbeat_interval=0.25,
-                 hang_timeout=None, retry_policy=None, chaos=None):
+                 max_replica_retries=2, on_failure="quarantine", chaos=None):
         for name, value in (("replica_timeout", replica_timeout),
-                            ("sweep_deadline", sweep_deadline),
-                            ("hang_timeout", hang_timeout)):
+                            ("sweep_deadline", sweep_deadline)):
             if value is not None and not value > 0:
                 raise ValueError("%s must be positive or None, got %r"
                                  % (name, value))
@@ -284,34 +299,11 @@ class SupervisorConfig:
         if on_failure not in self.ON_FAILURE:
             raise ValueError("on_failure must be one of %s, got %r"
                              % (list(self.ON_FAILURE), on_failure))
-        if not poll_interval > 0:
-            raise ValueError("poll_interval must be positive, got %r"
-                             % (poll_interval,))
-        if not heartbeat_interval > 0:
-            raise ValueError("heartbeat_interval must be positive, got %r"
-                             % (heartbeat_interval,))
         self.replica_timeout = replica_timeout
         self.sweep_deadline = sweep_deadline
         self.max_replica_retries = max_replica_retries
         self.on_failure = on_failure
-        self.poll_interval = poll_interval
-        self.heartbeat_interval = heartbeat_interval
-        self.hang_timeout = hang_timeout
-        self.retry_policy = retry_policy
         self.chaos = chaos
-
-    def resolved_hang_timeout(self):
-        """Silence threshold before a busy worker counts as hung."""
-        if self.hang_timeout is not None:
-            return self.hang_timeout
-        return 20.0 * self.heartbeat_interval
-
-    def resolved_retry_policy(self):
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return RetryPolicy(max_attempts=max(2, self.max_replica_retries + 1),
-                           base_delay=0.05, multiplier=2.0, max_delay=2.0,
-                           jitter=0.25)
 
     def __repr__(self):
         return ("SupervisorConfig(replica_timeout=%r, sweep_deadline=%r, "
@@ -331,8 +323,7 @@ def _worker_main(worker_id, spec, base_seed, tasks, results):
     """Sweep worker: run chunks off ``tasks``, report on ``results``.
 
     The campaign spec and base seed arrive once, as process arguments.
-    A task is ``(heartbeat_interval, items)`` — the run's heartbeat
-    period plus the chunk's ``(index, chaos behaviour)`` items — and
+    A task is a chunk's list of ``(index, chaos behaviour)`` items, and
     ``None`` asks for an orderly exit.
 
     Protocol (all messages lead with a tag and the worker id):
@@ -347,8 +338,7 @@ def _worker_main(worker_id, spec, base_seed, tasks, results):
 
     send_lock = threading.Lock()
     wake = threading.Event()
-    state = {"index": None, "busy": False, "frozen": False,
-             "interval": None}
+    state = {"index": None, "busy": False, "frozen": False}
 
     def send(message):
         # Connection.send is not thread-safe; the heartbeat thread and
@@ -359,9 +349,9 @@ def _worker_main(worker_id, spec, base_seed, tasks, results):
     def beat():
         # Sleeps without a timeout while idle, so a warm pool parked
         # between sweeps neither wakes nor fills its result pipe; a new
-        # task sets ``wake`` to start the beat at that run's interval.
+        # task sets ``wake`` to start the beat.
         while not state["frozen"]:
-            wake.wait(state["interval"] if state["busy"] else None)
+            wake.wait(HEARTBEAT_SECONDS if state["busy"] else None)
             wake.clear()
             if state["busy"] and not state["frozen"]:
                 try:
@@ -373,10 +363,9 @@ def _worker_main(worker_id, spec, base_seed, tasks, results):
 
     try:
         while True:
-            task = tasks.recv()
-            if task is None:
+            items = tasks.recv()
+            if items is None:
                 return
-            state["interval"], items = task
             state["busy"] = True
             wake.set()
             for index, behavior in items:
@@ -549,9 +538,7 @@ class WorkerPool:
 
         attempts_allowed = supervision.max_replica_retries + 1
         chaos = supervision.chaos or ChaosPlan()
-        policy = supervision.resolved_retry_policy()
         replica_timeout = supervision.replica_timeout
-        hang_timeout = supervision.resolved_hang_timeout()
         deadline_at = (time.monotonic() + supervision.sweep_deadline
                        if supervision.sweep_deadline is not None else None)
 
@@ -607,13 +594,13 @@ class WorkerPool:
                     raise PoisonReplicaError(index, n, reason, detail)
                 return
             # Retry as a singleton chunk after a deterministic backoff:
-            # the schedule is a pure function of (policy, base seed,
-            # replica seed), so a re-run of the same degraded sweep
-            # retries on an identical timetable.
+            # the schedule is a pure function of (base seed, replica
+            # seed), so a re-run of the same degraded sweep retries on
+            # an identical timetable.
             schedule = backoffs.get(index)
             if schedule is None:
                 schedule = backoffs[index] = deterministic_backoff(
-                    policy, base_seed, replica_seed(base_seed, index),
+                    RETRY_BACKOFF, base_seed, replica_seed(base_seed, index),
                     attempts=max(attempts_allowed - 1, 0))
             delay = schedule[min(n, len(schedule)) - 1] if schedule else 0.0
             ready.append(([index], time.monotonic() + delay))
@@ -692,8 +679,7 @@ class WorkerPool:
                 items = [(index, chaos.behavior(index, attempts[index] + 1))
                          for index in chunk]
                 try:
-                    worker.tasks.send((supervision.heartbeat_interval,
-                                       items))
+                    worker.tasks.send(items)
                 except OSError:
                     # The worker died while idle (between chunks or
                     # between sweeps): no replica was charged, so put
@@ -710,7 +696,7 @@ class WorkerPool:
 
         def next_wakeup():
             """Shortest sleep that cannot miss a timeout or a due retry."""
-            timeout = supervision.poll_interval
+            timeout = POLL_SECONDS
             now = time.monotonic()
             for chunk, not_before in ready:
                 if not_before > now:
@@ -728,7 +714,7 @@ class WorkerPool:
                     reap(worker, "timeout",
                          "exceeded %.3fs wall-clock timeout"
                          % replica_timeout)
-                elif now - worker.last_beat > hang_timeout:
+                elif now - worker.last_beat > HANG_TIMEOUT_SECONDS:
                     metrics.inc("supervisor.worker_hangs")
                     reap(worker, "hang",
                          "no heartbeat for %.3fs" % (now - worker.last_beat))

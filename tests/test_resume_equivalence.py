@@ -104,7 +104,7 @@ def test_parallel_resume_matches_serial_recording(tmp_path):
     _record_only(directory, spec, _config(replicas=6), (4, 1, 3))
     resumed = run_sweep(
         spec, _config(replicas=6, mode="parallel", workers=2,
-                      chunk_size=1, fallback=False),
+                      chunk_size=1),
         checkpoint_dir=directory, resume=True)
     assert resumed.dispatch["path"] == "warm-pool"
     _assert_byte_identical(resumed, baseline)

@@ -15,7 +15,7 @@ from repro.core.ensemble import (
     run_replica,
     trace_digest,
 )
-from repro.sim.sweep import SweepConfig, run_sweep, shard_indices
+from repro.sim.sweep import SweepConfig, run_sweep, shard_chunks
 
 CAMPAIGN_NAMES = ("stuxnet", "flame", "shamoon")
 
@@ -56,8 +56,8 @@ def test_serial_and_parallel_sweeps_are_bit_identical(name):
     serial = run_sweep(spec, SweepConfig(
         replicas=3, workers=1, mode="serial", base_seed=42))
     parallel = run_sweep(spec, SweepConfig(
-        replicas=3, workers=2, mode="parallel", base_seed=42, chunk_size=1,
-        fallback=False))
+        replicas=3, workers=2, mode="parallel", base_seed=42,
+        chunk_size=1))
     assert parallel.dispatch["path"] == "warm-pool"
     assert serial.measurements() == parallel.measurements()
     assert serial.digests() == parallel.digests()
@@ -75,7 +75,7 @@ def test_serial_and_parallel_metric_snapshots_are_identical():
         replicas=3, workers=1, mode="serial", base_seed=11))
     parallel = run_sweep(spec, SweepConfig(
         replicas=3, workers=2, mode="parallel", base_seed=11,
-        chunk_size=1, fallback=False))
+        chunk_size=1))
     assert parallel.dispatch["path"] == "warm-pool"
     assert serial.metrics() == parallel.metrics()
     assert serial.merged_metrics() == parallel.merged_metrics()
@@ -98,11 +98,11 @@ def test_replica_metrics_survive_as_dict_round_trip():
 def test_chunk_size_does_not_affect_results():
     spec = CampaignSpec.quick("stuxnet")
     by_one = run_sweep(spec, SweepConfig(
-        replicas=4, workers=2, mode="parallel", base_seed=9, chunk_size=1,
-        fallback=False))
+        replicas=4, workers=2, mode="parallel", base_seed=9,
+        chunk_size=1))
     by_three = run_sweep(spec, SweepConfig(
-        replicas=4, workers=2, mode="parallel", base_seed=9, chunk_size=3,
-        fallback=False))
+        replicas=4, workers=2, mode="parallel", base_seed=9,
+        chunk_size=3))
     assert by_one.dispatch["path"] == by_three.dispatch["path"] == "warm-pool"
     assert by_one.measurements() == by_three.measurements()
     assert by_one.digests() == by_three.digests()
@@ -142,9 +142,10 @@ def test_trace_digest_reflects_trace_content(kernel):
 
 
 def test_shard_indices_cover_every_replica_exactly_once():
-    shards = shard_indices(10, 3)
+    shards = shard_chunks(range(10), 3)
     assert shards == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-    assert [i for shard in shard_indices(7, 2) for i in shard] == list(range(7))
+    covered = [i for shard in shard_chunks(range(7), 2) for i in shard]
+    assert covered == list(range(7))
 
 
 def test_spec_rejects_pinned_seed_and_unknown_names():

@@ -65,17 +65,17 @@ def serial_payload(campaign, replicas=REPLICAS):
 
 @pytest.mark.parametrize("campaign", ALL_CAMPAIGNS)
 def test_warm_pool_parallel_matches_serial(campaign):
-    # fallback=False pins the decision: this test is about the pool
-    # path itself (the adaptive decision has its own test below), and
-    # the quick epidemic replicas are cheap enough to legitimately sit
-    # below break-even on a fast machine.
+    # mode="parallel" pins the pool path itself (the adaptive decision
+    # has its own tests below): the quick epidemic replicas are cheap
+    # enough to legitimately sit below break-even on a fast machine.
     result = run_sweep(
         CampaignSpec.quick(campaign),
         SweepConfig(replicas=REPLICAS, workers=2, mode="parallel",
-                    base_seed=BASE_SEED, fallback=False))
+                    base_seed=BASE_SEED))
     assert result.dispatch["path"] == "warm-pool"
     assert result.mode == "parallel"
-    assert result.dispatch["probe_seconds"] > 0
+    # Parallel sweeps never probe in-process.
+    assert result.dispatch["probe_seconds"] is None
     assert canonical(result) == serial_payload(campaign)
 
 
@@ -86,9 +86,10 @@ def test_adaptive_auto_decision_is_still_byte_identical(campaign):
     # the serial reference byte for byte.
     result = run_sweep(
         CampaignSpec.quick(campaign),
-        SweepConfig(replicas=REPLICAS, workers=2, mode="parallel",
+        SweepConfig(replicas=REPLICAS, workers=2, mode="auto",
                     base_seed=BASE_SEED))
     assert result.dispatch["path"] in ("warm-pool", "serial-fallback")
+    assert result.dispatch["probe_seconds"] > 0
     assert canonical(result) == serial_payload(campaign)
 
 
@@ -114,12 +115,21 @@ def test_adaptive_fallback_matches_serial(campaign, monkeypatch):
     monkeypatch.setattr(sweep, "PARALLEL_BREAK_EVEN_SECONDS", 1e9)
     result = run_sweep(
         CampaignSpec.quick(campaign),
-        SweepConfig(replicas=REPLICAS, workers=2, mode="parallel",
+        SweepConfig(replicas=REPLICAS, workers=2, mode="auto",
                     base_seed=BASE_SEED))
     assert result.dispatch["path"] == "serial-fallback"
     assert result.dispatch["break_even_seconds"] == 1e9
     assert result.dispatch["estimated_seconds"] < 1e9
     assert canonical(result) == serial_payload(campaign)
+    # mode="parallel" takes no probe and so never falls back, however
+    # high the break-even.
+    pinned = run_sweep(
+        CampaignSpec.quick(campaign),
+        SweepConfig(replicas=REPLICAS, workers=2, mode="parallel",
+                    base_seed=BASE_SEED))
+    assert pinned.dispatch["path"] == "warm-pool"
+    assert pinned.dispatch["probe_seconds"] is None
+    assert canonical(pinned) == serial_payload(campaign)
 
 
 @pytest.mark.parametrize("workers", (1, 2, 4))
@@ -127,7 +137,7 @@ def test_adaptive_fallback_matches_serial(campaign, monkeypatch):
 def test_parallel_grid_is_payload_invariant(workers, chunk_size):
     config = SweepConfig(replicas=GRID_REPLICAS, workers=workers,
                          chunk_size=chunk_size, mode="parallel",
-                         base_seed=BASE_SEED, fallback=False)
+                         base_seed=BASE_SEED)
     result = run_sweep(CampaignSpec.quick(GRID_CAMPAIGN), config)
     assert result.dispatch["path"] == "warm-pool"
     assert canonical(result) == serial_payload(GRID_CAMPAIGN,
@@ -155,9 +165,10 @@ def test_dispatch_record_names_the_path_taken():
     assert serial.dispatch["requested_mode"] == "serial"
     pooled = run_sweep(spec, SweepConfig(
         replicas=2, workers=2, mode="parallel", base_seed=BASE_SEED,
-        fallback=False, chunk_size=1))
+        chunk_size=1))
     assert pooled.dispatch["path"] == "warm-pool"
-    assert pooled.dispatch["fallback_enabled"] is False
+    assert pooled.dispatch["requested_mode"] == "parallel"
+    assert pooled.dispatch["probe_seconds"] is None
     # auto on a single-replica ensemble resolves to serial outright.
     auto = run_sweep(spec, SweepConfig(replicas=1, workers=4,
                                        base_seed=BASE_SEED))

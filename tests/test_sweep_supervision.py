@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.ensemble import CampaignSpec, ReplicaFailure
 from repro.core.resume import SweepCheckpoint
+from repro.sim import workerpool
 from repro.sim.errors import (
     CheckpointError,
     PoisonReplicaError,
@@ -89,30 +90,23 @@ def test_supervised_sweep_matches_serial_bit_for_bit():
     assert supervised.supervision["salvaged"] is False
 
 
-def test_supervision_kwarg_forces_supervised_mode():
-    result = run_sweep(SPEC, SweepConfig(replicas=2, workers=2,
-                                         base_seed=42),
-                       supervision=SupervisorConfig())
-    assert result.mode == "supervised"
-    assert result.supervision is not None
-
-
-def test_supervision_refuses_serial_mode():
-    with pytest.raises(ValueError, match="serial"):
-        run_sweep(SPEC, SweepConfig(replicas=2, mode="serial", base_seed=1),
-                  supervision=SupervisorConfig())
-
-
-def test_supervision_runs_an_auto_config_that_resolves_to_serial():
-    # One worker (any 1-CPU host's default) makes "auto" resolve to
-    # serial; asking for supervision still runs it on the pool.
-    config = SweepConfig(replicas=3, workers=1, base_seed=42)
-    assert config.resolved_mode() == "serial"
-    result = run_sweep(SPEC, config, supervision=SupervisorConfig())
-    assert result.mode == "supervised"
-    assert result.dispatch["path"] == "warm-pool"
-    assert result.supervision["workers"] == 1
-    assert digests(result) == digests(serial_baseline(replicas=3))
+@pytest.mark.parametrize("mode, workers", [
+    pytest.param("auto", 2, id="auto"),
+    pytest.param("auto", 1, id="auto-resolves-to-serial"),
+    pytest.param("parallel", 2, id="parallel"),
+    pytest.param("serial", 1, id="serial"),
+])
+def test_supervision_kwarg_needs_supervised_mode(mode, workers):
+    # supervision= is the policy of mode="supervised" and never changes
+    # the mode: "auto" must not quietly become supervised, and with one
+    # worker, where it resolves to serial, not a one-worker pool.
+    config = SweepConfig(replicas=3, workers=workers, mode=mode,
+                         base_seed=42)
+    if mode == "auto" and workers == 1:
+        assert config.resolved_mode() == "serial"
+    with pytest.raises(ValueError, match="mode is '%s'" % mode):
+        run_sweep(SPEC, config, supervision=SupervisorConfig())
+    assert leaked_workers(timeout=0.0) == []
 
 
 # -- crash isolation -----------------------------------------------------------
@@ -231,13 +225,15 @@ def test_replica_timeout_on_failure_fail_raises_timeout_error():
     assert excinfo.value.timeout == 0.5
 
 
-def test_frozen_worker_is_detected_by_missing_heartbeats():
+def test_frozen_worker_is_detected_by_missing_heartbeats(monkeypatch):
     # "freeze" stops heartbeating entirely, so only hang detection —
-    # not the replica timeout, which is unset — can catch it.
+    # not the replica timeout, which is unset — can catch it.  Only the
+    # parent-side silence threshold is shortened (workers never see a
+    # parent's monkeypatch): 1 s is four of the workers' 0.25 s beats.
+    monkeypatch.setattr(workerpool, "HANG_TIMEOUT_SECONDS", 1.0)
     supervised = run_sweep(
         SPEC, supervised_config(replicas=3),
         supervision=SupervisorConfig(
-            heartbeat_interval=0.1, hang_timeout=0.5,
             max_replica_retries=0, chaos=ChaosPlan({1: ("freeze",)})))
     assert [f.index for f in supervised.failures] == [1]
     assert supervised.failures[0].reason == "hang"
@@ -334,10 +330,10 @@ def test_deadline_salvage_then_resume_completes_the_sweep(tmp_path):
 def test_keyboard_interrupt_flushes_manifest_and_kills_pool(tmp_path,
                                                             monkeypatch):
     checkpoint = str(tmp_path / "sweep")
-    # fallback=False pins the pool: a cheap probe must not turn this
+    # mode="parallel" pins the pool: a cheap probe must not turn this
     # into a serial run with no pool to tear down.
     config = SweepConfig(replicas=6, workers=2, mode="parallel",
-                         base_seed=42, chunk_size=1, fallback=False)
+                         base_seed=42, chunk_size=1)
     recorded = []
     original = SweepCheckpoint.record
 
@@ -408,12 +404,12 @@ def test_chaos_plan_single_string_and_exhaustion():
 @pytest.mark.parametrize("kwargs", [
     {"replica_timeout": 0},
     {"sweep_deadline": -1},
-    {"hang_timeout": 0},
+    {"replica_timeout": float("nan")},
     {"max_replica_retries": -1},
     {"max_replica_retries": True},
     {"on_failure": "explode"},
-    {"poll_interval": 0},
-    {"heartbeat_interval": 0},
+    {"max_replica_retries": 1.5},
+    {"sweep_deadline": 0},
 ])
 def test_supervisor_config_validation(kwargs):
     with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def reset_shared_pool():
 
 def pool_config(**overrides):
     defaults = dict(replicas=4, workers=2, mode="parallel", base_seed=42,
-                    fallback=False, chunk_size=1)
+                    chunk_size=1)
     defaults.update(overrides)
     return SweepConfig(**defaults)
 
