@@ -5,7 +5,15 @@ claim, or Section V trend) and prints a paper-vs-measured table.  Run
 with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 """
 
+from pathlib import Path
+
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Where ``--quick`` runs write their ``BENCH_*.json`` (git-ignored):
+#: only the full preset updates the committed files at the repo root.
+QUICK_BENCH_DIR = REPO_ROOT / "bench-quick"
 
 
 def pytest_addoption(parser):
@@ -19,6 +27,19 @@ def pytest_addoption(parser):
 def quick(request):
     """True when the run should use the scaled-down benchmark sizes."""
     return bool(request.config.getoption("--quick", default=False))
+
+
+@pytest.fixture
+def bench_path(quick):
+    """``bench_path("BENCH_x.json")``: where this run records ``x``."""
+
+    def path(name):
+        if not quick:
+            return REPO_ROOT / name
+        QUICK_BENCH_DIR.mkdir(exist_ok=True)
+        return QUICK_BENCH_DIR / name
+
+    return path
 
 
 @pytest.fixture

@@ -14,20 +14,19 @@ root so CI tracks the hybrid tier's perf trajectory across PRs:
    aggregate floor above is the contract.
 
 ``--quick`` shrinks the epoch count (never the 10^6 population — the
-floor is only meaningful at scale) so CI finishes in seconds.
+floor is only meaningful at scale) so CI finishes in seconds, and
+writes ``bench-quick/BENCH_epidemic.json`` (git-ignored) instead.
 """
 
 import json
 import sys
 import time
-from pathlib import Path
 
 from repro.core import CampaignWorld
 from repro.epidemic import EpidemicModel, FullFidelityEpidemic
 from repro.epidemic.scenarios import stuxnet_profile
 from repro.sim import Kernel
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_epidemic.json"
 
 #: Acceptance criterion: the aggregate tier must step at least this
 #: many host-epochs per second of wall time on the 10^6-host scenario.
@@ -37,18 +36,19 @@ POOL_HOSTS = 1_000_000
 ORACLE_HOSTS = 200
 
 
-def _update_bench(section, payload):
+def _update_bench(bench_path, section, payload):
     """Merge one section into BENCH_epidemic.json (any test order)."""
+    path = bench_path("BENCH_epidemic.json")
     data = {}
-    if BENCH_PATH.exists():
+    if path.exists():
         try:
-            data = json.loads(BENCH_PATH.read_text())
+            data = json.loads(path.read_text())
         except ValueError:
             data = {}
     data["benchmark"] = "epidemic-hybrid-tier"
     data["python"] = sys.version.split()[0]
     data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _run_pool(hosts, epochs, seed=2010):
@@ -63,14 +63,14 @@ def _run_pool(hosts, epochs, seed=2010):
     return model, elapsed
 
 
-def test_aggregate_stepping_meets_hosts_per_second_floor(quick):
+def test_aggregate_stepping_meets_hosts_per_second_floor(quick, bench_path):
     epochs = 6 if quick else 30
     model, elapsed = _run_pool(POOL_HOSTS, epochs)
     assert model.finished
     assert model.curve[-1]["cumulative"] > 5, "epidemic never spread"
     host_epochs = POOL_HOSTS * epochs
     rate = host_epochs / elapsed
-    _update_bench("aggregate_stepping", {
+    _update_bench(bench_path, "aggregate_stepping", {
         "hosts": POOL_HOSTS,
         "epochs": epochs,
         "seconds": round(elapsed, 4),
@@ -84,7 +84,7 @@ def test_aggregate_stepping_meets_hosts_per_second_floor(quick):
         % (POOL_HOSTS, epochs, rate, HOSTS_PER_SECOND_FLOOR))
 
 
-def test_fidelity_ratio_is_reported(quick):
+def test_fidelity_ratio_is_reported(quick, bench_path):
     """Pool vs oracle at a population the oracle can afford; context
     only — the differential suite owns correctness, the floor above
     owns performance."""
@@ -100,7 +100,7 @@ def test_fidelity_ratio_is_reported(quick):
     oracle_elapsed = time.perf_counter() - start
 
     assert oracle.curve == model.curve
-    _update_bench("fidelity_ratio", {
+    _update_bench(bench_path, "fidelity_ratio", {
         "hosts": ORACLE_HOSTS,
         "epochs": epochs,
         "pool_seconds": round(pool_elapsed, 4),

@@ -16,34 +16,34 @@ repository root so CI can track the perf trajectory across PRs:
    Stuxnet's trigger monitor), so the kernel skips the firings in
    between; reported as events/second with no floor.
 
-``--quick`` shrinks the workloads so CI finishes in seconds.
+``--quick`` shrinks the workloads so CI finishes in seconds, and
+writes ``bench-quick/BENCH_kernel.json`` (git-ignored) instead.
 """
 
 import json
 import sys
 import time
-from pathlib import Path
 
 from repro.sim import Kernel
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
 
 
-def _update_bench(section, payload):
+def _update_bench(bench_path, section, payload):
     """Merge one section into BENCH_kernel.json (tests run in any order)."""
+    path = bench_path("BENCH_kernel.json")
     data = {}
-    if BENCH_PATH.exists():
+    if path.exists():
         try:
-            data = json.loads(BENCH_PATH.read_text())
+            data = json.loads(path.read_text())
         except ValueError:
             data = {}
     data["benchmark"] = "kernel-hot-path"
     data["python"] = sys.version.split()[0]
     data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def test_kernel_dispatch_throughput(quick):
+def test_kernel_dispatch_throughput(quick, bench_path):
     events = 30_000 if quick else 200_000
     kernel = Kernel(seed=11)
     remaining = [events]
@@ -63,7 +63,7 @@ def test_kernel_dispatch_throughput(quick):
     assert kernel.metrics.value("sim.events_dispatched") == events
 
     rate = events / wall if wall else float("inf")
-    _update_bench("dispatch", {
+    _update_bench(bench_path, "dispatch", {
         "events": events,
         "quick": quick,
         "wall_seconds": wall,
@@ -74,7 +74,7 @@ def test_kernel_dispatch_throughput(quick):
           % (events, wall, rate))
 
 
-def test_cancellation_compaction_throughput(quick):
+def test_cancellation_compaction_throughput(quick, bench_path):
     scheduled = 20_000 if quick else 100_000
     kernel = Kernel(seed=13)
     doomed = [kernel.call_later(1000.0 + i, lambda: None, "doomed")
@@ -99,7 +99,7 @@ def test_cancellation_compaction_throughput(quick):
     assert heap_after_cancel <= 2 * survivors + \
         kernel._queue.COMPACT_MIN_GARBAGE
 
-    _update_bench("cancellation", {
+    _update_bench(bench_path, "cancellation", {
         "scheduled": scheduled,
         "cancelled": scheduled,
         "survivors": survivors,
@@ -113,7 +113,7 @@ def test_cancellation_compaction_throughput(quick):
           % (scheduled, cancel_wall, heap_after_cancel, run_wall))
 
 
-def test_periodic_task_throughput(quick):
+def test_periodic_task_throughput(quick, bench_path):
     # The natanz replica's kernel load: a 30 s safety poll beside a
     # 60 s PLC scan, with trivial callbacks so only the kernel is timed.
     horizon = 30.0 * (20_000 if quick else 200_000)
@@ -132,7 +132,7 @@ def test_periodic_task_throughput(quick):
     assert dispatched == fired[0] == int(horizon / 30.0 + horizon / 60.0)
 
     rate = dispatched / wall if wall else float("inf")
-    _update_bench("periodic", {
+    _update_bench(bench_path, "periodic", {
         "events": dispatched,
         "intervals_seconds": [30.0, 60.0],
         "quick": quick,
@@ -144,7 +144,7 @@ def test_periodic_task_throughput(quick):
           % (dispatched, wall, rate))
 
 
-def test_idle_periodic_task_throughput(quick):
+def test_idle_periodic_task_throughput(quick, bench_path):
     # The natanz replica's idle stretches: the scan and poll change
     # nothing, and an hourly monitor bounds each skip window.
     horizon = 30.0 * (200_000 if quick else 2_000_000)
@@ -169,7 +169,7 @@ def test_idle_periodic_task_throughput(quick):
     assert dispatched == skipped[0] + monitors
 
     rate = dispatched / wall if wall else float("inf")
-    _update_bench("idle_periodic", {
+    _update_bench(bench_path, "idle_periodic", {
         "events": dispatched,
         "skipped": skipped[0],
         "intervals_seconds": [30.0, 60.0, 3600.0],

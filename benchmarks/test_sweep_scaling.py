@@ -5,7 +5,8 @@ warm worker pool — under the default fail-fast policy and under
 ``SupervisorConfig()`` with no failures injected — asserts all three
 produce bit-identical per-replica measurements and trace digests, and
 writes the wall-time comparison to ``BENCH_sweep.json`` at the
-repository root so the perf trajectory is tracked across changes.
+repository root so the perf trajectory is tracked across changes
+(a ``--quick`` run writes ``bench-quick/BENCH_sweep.json`` instead).
 The supervised/default ratio is the cost of the retry-and-quarantine
 policy when nothing fails; the goal is ~1.0.
 
@@ -34,13 +35,11 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from repro.core.ensemble import CampaignSpec
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.sim.workerpool import SupervisorConfig, pool_start_method
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
 
 #: Acceptance criterion: pooled parallel dispatch with 2 workers
 #: must beat serial by at least this factor on the quick workload.
@@ -88,7 +87,7 @@ def _interleaved_minimums(rounds, *fns):
     return [min(samples) for samples in times]
 
 
-def test_sweep_scaling_serial_vs_warm_pool(quick):
+def test_sweep_scaling_serial_vs_warm_pool(quick, bench_path):
     replicas = 6 if quick else 16
     rounds = 3 if quick else 5
     cores = effective_cores()
@@ -173,7 +172,8 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
     }
     # The artefact lands before the floor assertion on purpose: a slow
     # run must still leave the measurement for the CI upload to find.
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    path = bench_path("BENCH_sweep.json")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
     print("sweep scaling (%d replicas, %d effective cores, %s): "
@@ -181,7 +181,7 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
           "supervised %.2fs (%.2fx the default policy)"
           % (replicas, cores, pool_start_method(), serial_s, parallel_s,
              WORKERS, speedup, supervised_s, supervision_overhead))
-    print("wrote %s" % BENCH_PATH)
+    print("wrote %s" % path)
 
     if asserted:
         assert speedup >= SPEEDUP_FLOOR, (

@@ -50,9 +50,25 @@ from repro.epidemic.pool import (
     RECOVERED,
     STATE_NAMES,
     SUSCEPTIBLE,
+    VECTORS,
 )
 
 SECONDS_PER_DAY = 86400.0
+
+_USB, _LAN, _C2 = (VECTORS.index(name) for name in ("usb", "lan", "c2"))
+
+
+def _exposed_by(exposed, exposed_epoch, epoch):
+    """How many leading hosts of ``exposed`` (in exposure order, so
+    ascending ``exposed_epoch``) left S at or before ``epoch``."""
+    low, high = 0, len(exposed)
+    while low < high:
+        middle = (low + high) // 2
+        if exposed_epoch[exposed[middle]] <= epoch:
+            low = middle + 1
+        else:
+            high = middle
+    return low
 
 
 def c2_availability(kernel, domains):
@@ -192,8 +208,9 @@ class EpidemicModel:
         self._seeded = False
         self._started = False
         #: Iteration orders (see module docstring): ascending indices /
-        #: exposure order, all reconstructible from the pool arrays.
-        self._susceptible = list(range(host_count))
+        #: exposure order, all reconstructible from the pool arrays
+        #: (:meth:`resync_from_pool`; seeding fills them).
+        self._susceptible = []
         self._exposed = []
         self._infectious = []
         kernel.register_state_provider(self.provider_name, self)
@@ -244,10 +261,7 @@ class EpidemicModel:
         chosen = sorted(rng.sample(range(self.pool.count), count))
         for index in chosen:
             self.pool.seed(index, epoch=0, vector=vector)
-            self._infectious.append(index)
-        seeded = set(chosen)
-        self._susceptible = [index for index in self._susceptible
-                             if index not in seeded]
+        self.resync_from_pool()
         self._seeded = True
         self._record_epoch(new_infections=count, c2_availability=1.0)
         self._kernel.trace.record("epidemic", "seeded", self._label,
@@ -323,59 +337,55 @@ class EpidemicModel:
             if hazard > 0.0:
                 any_hazard = True
 
-        new_exposed = []
+        hits = []
         if any_hazard:
             rand = self._rng.random
             region = pool.region_view()
-            epoch = self._epoch
-            expose = pool.expose
             survivors = []
             keep = survivors.append
-            caught = new_exposed.append
+            caught = hits.append
+            codes = []
+            channel = codes.append
             for index in self._susceptible:
                 code = region[index]
                 if rand() < hazards[code]:
                     p_u, p_l, p_c = shares[code]
                     draw = rand() * (p_u + p_l + p_c)
                     if draw < p_u:
-                        vector = "usb"
+                        channel(_USB)
                     elif draw < p_u + p_l:
-                        vector = "lan"
+                        channel(_LAN)
                     else:
-                        vector = "c2"
-                    expose(index, epoch, vector)
+                        channel(_C2)
                     caught(index)
                 else:
                     keep(index)
             self._susceptible = survivors
+            pool.expose_all(hits, codes, self._epoch)
 
         recoveries = 0
         if recovery > 0.0 and self._infectious:
             rand = self._rng.random
             still_infectious = []
+            keep = still_infectious.append
             for index in self._infectious:
                 if rand() < recovery:
                     pool.recover(index)
                     recoveries += 1
                 else:
-                    still_infectious.append(index)
+                    keep(index)
             self._infectious = still_infectious
 
-        latency = self.profile.latency_epochs
         exposed = self._exposed
-        promoted = 0
-        exposed_epoch = pool.exposed_epoch_view()
-        while promoted < len(exposed) and \
-                self._epoch - exposed_epoch[exposed[promoted]] >= latency:
-            index = exposed[promoted]
-            pool.activate(index)
-            self._infectious.append(index)
-            promoted += 1
-        if promoted:
-            self._exposed = exposed[promoted:]
+        ready = _exposed_by(exposed, pool.exposed_epoch_view(),
+                            self._epoch - self.profile.latency_epochs)
+        if ready:
+            pool.activate_all(exposed[:ready])
+            self._infectious += exposed[:ready]
+            del exposed[:ready]
 
-        self._exposed.extend(new_exposed)
-        return len(new_exposed), recoveries, availability
+        exposed += hits
+        return len(hits), recoveries, availability
 
     def _record_epoch(self, new_infections, c2_availability):
         counts = self.pool.counts
@@ -412,22 +422,16 @@ class EpidemicModel:
         The spec's orders are pure functions of the arrays: susceptible
         hosts ascend by index, exposed and infectious hosts sort by
         ``(exposed_epoch, index)`` — exactly the order append-only
-        stepping produced them in.  Also the repair hook after
-        out-of-band pool edits (a demotion write-back).
+        stepping produced them in.  A stable sort by ``exposed_epoch``
+        of the ascending indices gives that order.  Also the repair
+        hook after out-of-band pool edits (a demotion write-back).
         """
-        states = self.pool.state_view()
-        exposed_epoch = self.pool.exposed_epoch_view()
-        self._susceptible = [index for index, code in enumerate(states)
-                             if code == SUSCEPTIBLE]
-        exposed = [(exposed_epoch[index], index)
-                   for index, code in enumerate(states) if code == EXPOSED]
-        exposed.sort()
-        self._exposed = [index for _, index in exposed]
-        infectious = [(exposed_epoch[index], index)
-                      for index, code in enumerate(states)
-                      if code == INFECTIOUS]
-        infectious.sort()
-        self._infectious = [index for _, index in infectious]
+        pool = self.pool
+        order = pool.exposed_epoch_view().__getitem__
+        self._susceptible = pool.indices_in_state(SUSCEPTIBLE)
+        self._exposed = sorted(pool.indices_in_state(EXPOSED), key=order)
+        self._infectious = sorted(pool.indices_in_state(INFECTIOUS),
+                                  key=order)
 
     def __repr__(self):
         return ("EpidemicModel(%r, epoch %d/%d, S/E/I/R=%r)"

@@ -29,7 +29,7 @@ Individual hosts are promoted to full fidelity on demand — see
 import base64
 import sys
 from array import array
-from bisect import bisect_right
+from itertools import accumulate, compress
 
 #: Compartment codes, in lifecycle order.  A host only ever moves
 #: forward: S -> E (exposed, latent) -> I (infectious) -> R (removed —
@@ -47,6 +47,11 @@ VECTORS = ("none", "initial", "usb", "lan", "c2")
 
 _VECTOR_CODES = {name: code for code, name in enumerate(VECTORS)}
 
+#: Per state code, a ``bytes.translate`` table mapping that code to 1
+#: and every other byte to 0: a C-speed membership mask over ``state``.
+_STATE_FLAGS = tuple(bytes(int(byte == code) for byte in range(256))
+                     for code in range(len(STATE_NAMES)))
+
 
 def assign_regions(rng, count, region_weights):
     """Deterministically assign ``count`` hosts to weighted regions.
@@ -62,17 +67,8 @@ def assign_regions(rng, count, region_weights):
     if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
         raise ValueError("region weights must be non-negative with a "
                          "positive sum, got %r" % (region_weights,))
-    cumulative = []
-    total = 0.0
-    for weight in weights:
-        total += weight
-        cumulative.append(total)
-    regions = array("h")
-    rand = rng.random
-    top = len(weights) - 1
-    for _ in range(count):
-        regions.append(min(bisect_right(cumulative, rand() * total), top))
-    return regions
+    return array("h", rng.choices(range(len(weights)),
+                                  list(accumulate(weights)), count))
 
 
 def _encode_array(values):
@@ -123,7 +119,10 @@ class HostPool:
         #: Infectious hosts per region, maintained incrementally — the
         #: stepper's LAN hazard is O(#regions) because of this.
         self.infectious_by_region = [0] * len(self.region_names)
-        #: Cumulative infections per transmission channel.
+        #: Hosts per region that ever left S, maintained incrementally.
+        self._infected_by_region = [0] * len(self.region_names)
+        #: Cumulative infections per transmission channel, keyed in the
+        #: order each channel first claimed a host.
         self.vector_counts = {}
 
     # -- read access ----------------------------------------------------------
@@ -157,8 +156,8 @@ class HostPool:
 
     def indices_in_state(self, state):
         """Ascending host indices currently in ``state``."""
-        return [index for index, code in enumerate(self._state)
-                if code == state]
+        flags = self._state.tobytes().translate(_STATE_FLAGS[state])
+        return list(compress(range(self.count), flags))
 
     def compartments(self):
         """``{name: count}`` snapshot of the compartment totals."""
@@ -169,54 +168,85 @@ class HostPool:
         return self.count - self.counts[SUSCEPTIBLE]
 
     def infected_by_region(self):
-        """``{region: ever-infected hosts}`` — one O(N) scan."""
-        totals = [0] * len(self.region_names)
-        region = self._region
-        for index, code in enumerate(self._state):
-            if code != SUSCEPTIBLE:
-                totals[region[index]] += 1
-        return {name: totals[code]
-                for code, name in enumerate(self.region_names)}
+        """``{region: hosts that ever left S}``."""
+        return dict(zip(self.region_names, self._infected_by_region))
 
     # -- transitions ----------------------------------------------------------
+    #
+    # S -> E and E -> I each have one implementation, a batch: the
+    # stepper hands over a whole epoch's hosts in one call.  The loops
+    # still check every host's state; on an illegal one they settle the
+    # counters for the hosts already moved, so the pool stays
+    # consistent, then raise.
 
-    def _claim(self, index, epoch, vector):
-        if self._state[index] != SUSCEPTIBLE:
-            raise ValueError(
-                "host %d is %s, not susceptible"
-                % (index, STATE_NAMES[self._state[index]]))
-        code = _VECTOR_CODES.get(vector)
-        if code is None:
-            raise ValueError("unknown vector %r (expected one of %s)"
-                             % (vector, VECTORS[1:]))
-        self._exposed_epoch[index] = epoch
-        self._vector[index] = code
-        self.counts[SUSCEPTIBLE] -= 1
-        self.vector_counts[vector] = self.vector_counts.get(vector, 0) + 1
+    def expose_all(self, indices, vector_codes, epoch):
+        """S -> E: ``indices[i]`` caught the malware this epoch over
+        channel ``VECTORS[vector_codes[i]]``."""
+        if len(vector_codes) != len(indices):
+            raise ValueError("%d hosts but %d vector codes"
+                             % (len(indices), len(vector_codes)))
+        if vector_codes and not (0 < min(vector_codes)
+                                 and max(vector_codes) < len(VECTORS)):
+            raise ValueError("vector codes must index VECTORS[1:], got %r"
+                             % (sorted(set(vector_codes)),))
+        state = self._state
+        exposed_epoch = self._exposed_epoch
+        vector = self._vector
+        region = self._region
+        infected = self._infected_by_region
+        for done, index in enumerate(indices):
+            if state[index] != SUSCEPTIBLE:
+                self._count_exposures(vector_codes[:done])
+                raise ValueError("host %d is %s, not susceptible"
+                                 % (index, STATE_NAMES[state[index]]))
+            state[index] = EXPOSED
+            exposed_epoch[index] = epoch
+            vector[index] = vector_codes[done]
+            infected[region[index]] += 1
+        self._count_exposures(vector_codes)
+
+    def _count_exposures(self, vector_codes):
+        self.counts[SUSCEPTIBLE] -= len(vector_codes)
+        self.counts[EXPOSED] += len(vector_codes)
+        tallies = self.vector_counts
+        for code in sorted(set(vector_codes), key=vector_codes.index):
+            name = VECTORS[code]
+            tallies[name] = tallies.get(name, 0) + vector_codes.count(code)
+
+    def activate_all(self, indices):
+        """E -> I: the latency elapsed; the hosts spread from now on."""
+        state = self._state
+        region = self._region
+        infectious = self.infectious_by_region
+        for done, index in enumerate(indices):
+            if state[index] != EXPOSED:
+                self._count_activations(done)
+                raise ValueError("host %d is %s, not exposed"
+                                 % (index, STATE_NAMES[state[index]]))
+            state[index] = INFECTIOUS
+            infectious[region[index]] += 1
+        self._count_activations(len(indices))
+
+    def _count_activations(self, count):
+        self.counts[EXPOSED] -= count
+        self.counts[INFECTIOUS] += count
 
     def expose(self, index, epoch, vector):
-        """S -> E: the host caught the malware this epoch."""
-        self._claim(index, epoch, vector)
-        self._state[index] = EXPOSED
-        self.counts[EXPOSED] += 1
+        """S -> E for one host (see :meth:`expose_all`)."""
+        code = _VECTOR_CODES.get(vector)
+        if not code:
+            raise ValueError("unknown vector %r (expected one of %s)"
+                             % (vector, VECTORS[1:]))
+        self.expose_all((index,), (code,), epoch)
+
+    def activate(self, index):
+        """E -> I for one host (see :meth:`activate_all`)."""
+        self.activate_all((index,))
 
     def seed(self, index, epoch=0, vector="initial"):
         """S -> I directly: a patient-zero host, infectious from day one."""
-        self._claim(index, epoch, vector)
-        self._state[index] = INFECTIOUS
-        self.counts[INFECTIOUS] += 1
-        self.infectious_by_region[self._region[index]] += 1
-
-    def activate(self, index):
-        """E -> I: the latency elapsed; the host spreads from now on."""
-        if self._state[index] != EXPOSED:
-            raise ValueError(
-                "host %d is %s, not exposed"
-                % (index, STATE_NAMES[self._state[index]]))
-        self._state[index] = INFECTIOUS
-        self.counts[EXPOSED] -= 1
-        self.counts[INFECTIOUS] += 1
-        self.infectious_by_region[self._region[index]] += 1
+        self.expose(index, epoch, vector)
+        self.activate(index)
 
     def recover(self, index):
         """I -> R: cleaned, patched, or suicided out of the population."""
@@ -248,7 +278,10 @@ class HostPool:
             self.infectious_by_region[region] -= 1
         if state == INFECTIOUS:
             self.infectious_by_region[region] += 1
+        if old == SUSCEPTIBLE:
+            self._infected_by_region[region] += 1
         if state == SUSCEPTIBLE:
+            self._infected_by_region[region] -= 1
             self._exposed_epoch[index] = -1
             self._vector[index] = 0
         self._state[index] = state

@@ -14,9 +14,12 @@ active for I), so every malware/netsim code path that asks
 Demotion is conservative in the other direction: whatever happened at
 full fidelity — disinfection, a fresh infection, nothing — is written
 back through :meth:`HostPool.force_state`, which repairs every derived
-counter.  Callers that demote mid-epidemic must then call
-``EpidemicModel.resync_from_pool()`` so the stepper's iteration orders
-pick up the edit.
+counter.  The stepper's iteration orders are only stale when a
+demotion wrote back a state other than the promoted one (compare
+:func:`demote_host`'s return value with ``host.promoted_state``): then
+call ``EpidemicModel.resync_from_pool()`` so they pick up the edit.  A
+round-trip that changed nothing leaves them valid, and resyncing a
+10^6-host pool costs an O(N) scan plus two sorts.
 """
 
 from repro.epidemic.pool import (

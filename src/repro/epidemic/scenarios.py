@@ -179,6 +179,7 @@ class EpidemicCampaign:
         rng = self.world.kernel.rng.fork(
             "epidemic-promote:%s" % self.model.label)
         promoted = []
+        changed = False
         for index in sorted(rng.sample(infectious, count)):
             host = promote_host(self.world, pool, index,
                                 self.profile.name)
@@ -186,9 +187,12 @@ class EpidemicCampaign:
                 raise RuntimeError(
                     "promotion lost the infection for pool host %d"
                     % index)
-            demote_host(pool, host, self.profile.name)
+            if demote_host(pool, host, self.profile.name) != \
+                    host.promoted_state:
+                changed = True
             promoted.append(host.hostname)
-        self.model.resync_from_pool()
+        if changed:
+            self.model.resync_from_pool()
         return promoted
 
 

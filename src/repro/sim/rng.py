@@ -10,25 +10,35 @@ import random
 
 
 class DeterministicRandom:
-    """Thin, intention-revealing wrapper around :class:`random.Random`."""
+    """Thin, intention-revealing wrapper around :class:`random.Random`.
+
+    ``random()`` — a uniform float in [0, 1), the raw stream behind
+    :meth:`chance` — is the generator's own C method, bound per
+    instance rather than wrapped: hot loops (the epidemic stepper draws
+    one Bernoulli per susceptible host and one per infectious host
+    every epoch) hoist it and compare against a precomputed hazard at
+    C-call cost.  ``copy.deepcopy`` treats a builtin method as atomic,
+    so a copy would keep drawing from the original's generator;
+    :meth:`__setstate__` binds the copy's own.
+    """
 
     def __init__(self, seed=0):
         self._seed = seed
         self._random = random.Random(seed)
+        self.random = self._random.random
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["random"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.random = self._random.random
 
     @property
     def seed(self):
         return self._seed
-
-    def random(self):
-        """A uniform float in [0, 1).
-
-        The raw stream behind :meth:`chance`, exposed for hot loops
-        (the epidemic stepper draws one Bernoulli per susceptible host
-        per epoch) that hoist the bound method and compare against a
-        precomputed hazard instead of paying a range check per draw.
-        """
-        return self._random.random()
 
     def chance(self, probability):
         """Return True with the given probability in [0, 1]."""
@@ -44,6 +54,12 @@ class DeterministicRandom:
 
     def choice(self, sequence):
         return self._random.choice(sequence)
+
+    def choices(self, population, cum_weights, k):
+        """``k`` draws from ``population`` against a cumulative weight
+        table: one uniform each, bisected into ``cum_weights``."""
+        return self._random.choices(population, cum_weights=cum_weights,
+                                    k=k)
 
     def sample(self, population, count):
         return self._random.sample(population, count)

@@ -9,6 +9,8 @@ host that wasn't a full ``WindowsHost``.  Now the contract is typed —
 instead of attributes.
 """
 
+from bisect import bisect_right
+
 import pytest
 
 from repro.core import CampaignWorld
@@ -24,6 +26,8 @@ from repro.epidemic import (
     demote_host,
     promote_host,
 )
+from repro.epidemic import scenarios
+from repro.epidemic.scenarios import STUXNET_REGIONS, StuxnetEpidemicCampaign
 from repro.netsim import Lan
 from repro.netsim.network import NetworkError
 from repro.netsim.smb import SmbError, smb_accessible, smb_copy_file
@@ -56,6 +60,30 @@ def test_assign_regions_rejects_bad_weights(kernel):
         assign_regions(rng, 5, (("a", -1.0), ("b", 2.0)))
     with pytest.raises(ValueError):
         assign_regions(rng, 5, (("a", 0.0),))
+
+
+def _bisect_regions(rng, count, region_weights):
+    """The per-host reference: one draw, bisected into the running sum."""
+    cumulative = []
+    total = 0.0
+    for _, weight in region_weights:
+        total += float(weight)
+        cumulative.append(total)
+    top = len(cumulative) - 1
+    return [min(bisect_right(cumulative, rng.random() * total), top)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("weights", [
+    STUXNET_REGIONS,                              # inexact partial sums
+    (("a", 0.1), ("b", 0.2), ("c", 0.0), ("d", 0.7)),  # inexact total
+], ids=["stuxnet", "inexact-total"])
+def test_assign_regions_matches_the_bisect_reference(weights):
+    draws = 120_000
+    regions = assign_regions(Kernel(seed=5).rng.fork("r"), draws, weights)
+    assert regions.typecode == "h"
+    assert list(regions) == _bisect_regions(
+        Kernel(seed=5).rng.fork("r"), draws, weights)
 
 
 def test_region_weights_skew_assignment(kernel):
@@ -103,10 +131,12 @@ def test_force_state_repairs_counters_both_ways(pool):
     assert pool.vector_of(3) == "none"
     assert pool.exposed_epoch_of(3) == -1
     assert pool.infectious_by_region == [0, 0]
+    assert pool.infected_by_region() == {"east": 0, "west": 0}
     pool.force_state(3, INFECTIOUS)
     code = pool.region_names.index(pool.region_of(3))
     assert pool.counts[INFECTIOUS] == 1
     assert pool.infectious_by_region[code] == 1
+    assert pool.infected_by_region()[pool.region_of(3)] == 1
 
 
 # -- model --------------------------------------------------------------------
@@ -195,6 +225,36 @@ def test_demote_writes_back_full_fidelity_outcomes():
 
     with pytest.raises(ValueError):
         demote_host(pool, world.make_host("STRAY-01"), "wormx")
+
+
+@pytest.mark.parametrize("cure", [False, True])
+def test_promote_samples_resyncs_only_after_a_state_change(monkeypatch,
+                                                           cure):
+    """A demotion that writes back the promoted state leaves the
+    iteration orders valid; one that changes it must rebuild them."""
+    campaign = StuxnetEpidemicCampaign(host_count=300, epochs=4,
+                                       promote_samples=2)
+    model = campaign.model
+    resyncs = []
+    resync = model.resync_from_pool
+    monkeypatch.setattr(model, "resync_from_pool",
+                        lambda: resyncs.append(1) or resync())
+
+    def demote(pool, host, name):
+        if cure:
+            host.remove_infection(name)
+        return demote_host(pool, host, name)
+
+    monkeypatch.setattr(scenarios, "demote_host", demote)
+    campaign.run()
+    # Seeding fills the orders through one resync of its own.
+    assert len(resyncs) == (2 if cure else 1)
+    pool = model.pool
+    assert model._infectious == sorted(
+        pool.indices_in_state(INFECTIOUS),
+        key=pool.exposed_epoch_view().__getitem__)
+    assert len(campaign.result["promoted"]) == 2
+    assert pool.counts[RECOVERED] >= (2 if cure else 0)
 
 
 def test_promoted_host_is_a_first_class_network_citizen():

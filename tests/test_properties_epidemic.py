@@ -8,9 +8,13 @@ from array import array
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CampaignWorld
+import pytest
+
 from repro.epidemic import (
+    EXPOSED,
     EpidemicModel,
     HostPool,
+    INFECTIOUS,
     RECOVERED,
     SUSCEPTIBLE,
     TransmissionProfile,
@@ -176,3 +180,74 @@ def test_pool_snapshot_round_trips(seed, count):
         if code != SUSCEPTIBLE:
             tally[VECTORS[vector]] = tally.get(VECTORS[vector], 0) + 1
     assert snapshot["vector_counts"] == pool.vector_counts == tally
+
+
+pool_edits = st.lists(st.one_of(
+    st.tuples(st.just("expose_all"),
+              st.lists(st.tuples(st.integers(0, 11),
+                                 st.integers(1, len(VECTORS) - 1)),
+                       max_size=8)),
+    st.tuples(st.just("activate_all"),
+              st.lists(st.integers(0, 11), max_size=8)),
+    st.tuples(st.just("recover"), st.integers(0, 11)),
+    st.tuples(st.just("force_state"),
+              st.tuples(st.integers(0, 11), st.integers(0, 3))),
+), max_size=25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, edits=pool_edits)
+def test_incremental_counters_match_a_rescan(seed, edits):
+    """Batch transitions, single transitions and write-backs — legal or
+    not — leave every incremental counter equal to an O(N) rescan of
+    the rows, and ``vector_counts`` equal to a host-by-host replay of
+    the claims in first-claim key order."""
+    pool = HostPool(12, REGIONS, Kernel(seed=seed).rng.fork("pool"))
+    claims = {}
+    for kind, arg in edits:
+        if kind == "expose_all":
+            # The reference claims host by host until the first
+            # illegal one, which is where the batch must stop too.
+            moved = set()
+            for index, code in arg:
+                if pool.state_of(index) != SUSCEPTIBLE or index in moved:
+                    break
+                moved.add(index)
+                claims[VECTORS[code]] = claims.get(VECTORS[code], 0) + 1
+            call = lambda: pool.expose_all(  # noqa: E731
+                [i for i, _ in arg], [c for _, c in arg], epoch=1)
+        else:
+            call = lambda: getattr(pool, kind)(  # noqa: E731
+                *(arg if kind == "force_state" else (arg,)))
+        try:
+            call()
+        except ValueError:
+            pass
+        states = list(pool.state_view())
+        regions = list(pool.region_view())
+        assert pool.counts == [states.count(code) for code in range(4)]
+        infectious = [0] * len(REGIONS)
+        infected = [0] * len(REGIONS)
+        for state, region in zip(states, regions):
+            infectious[region] += state == INFECTIOUS
+            infected[region] += state != SUSCEPTIBLE
+        assert pool.infectious_by_region == infectious
+        assert list(pool.infected_by_region().values()) == infected
+        assert list(pool.vector_counts.items()) == list(claims.items())
+    assert pool.cumulative_infections() == sum(
+        pool.infected_by_region().values())
+
+
+def test_batch_transition_stops_at_the_first_illegal_host():
+    pool = HostPool(10, REGIONS, Kernel(seed=1).rng.fork("pool"))
+    with pytest.raises(ValueError, match="host 4 is exposed"):
+        pool.expose_all([2, 4, 4, 6], [2, 3, 3, 4], epoch=3)
+    assert [pool.state_of(i) for i in (2, 4, 6)] == \
+        [EXPOSED, EXPOSED, SUSCEPTIBLE]
+    assert pool.counts == [8, 2, 0, 0]
+    assert list(pool.vector_counts.items()) == [("usb", 1), ("lan", 1)]
+    with pytest.raises(ValueError, match="host 6 is susceptible"):
+        pool.activate_all([4, 6, 2])
+    assert pool.counts == [8, 1, 1, 0]
+    with pytest.raises(ValueError, match="vector codes"):
+        pool.expose_all([7], [0], epoch=3)

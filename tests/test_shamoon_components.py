@@ -47,6 +47,18 @@ def test_burning_flag_jpeg_structure():
     assert JPEG_FRAGMENT_SIZE < len(BURNING_FLAG_JPEG)
 
 
+def test_burning_flag_jpeg_equals_the_byte_by_byte_generator():
+    header = BURNING_FLAG_JPEG[:20]
+    body = bytearray()
+    seed = 0x5A
+    while len(body) < 192 * 1024 - len(header) - 2:
+        body.append(seed)
+        seed = (seed * 31 + 7) % 251
+    assert BURNING_FLAG_JPEG == header + bytes(body) + b"\xff\xd9"
+    assert header == (b"\xff\xd8\xff\xe0\x00\x10JFIF\x00\x01\x02"
+                      b"\x00\x00\x01\x00\x01\x00\x00")
+
+
 def _seeded_host(host_factory, name="W-1"):
     host = host_factory(name)
     host.vfs.write("c:\\users\\u\\documents\\report.docx", b"R" * 8000)

@@ -1,5 +1,8 @@
 """Deterministic RNG behaviour."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.sim import DeterministicRandom
@@ -71,3 +74,19 @@ def test_sample_and_choice():
     picked = rng.sample(population, 10)
     assert len(set(picked)) == 10
     assert rng.choice(population) in population
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda rng: pickle.loads(pickle.dumps(rng)),
+    copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_copy_keeps_drawing_from_its_own_stream(duplicate):
+    rng = DeterministicRandom(9)
+    rng.random()
+    twin = duplicate(rng)
+    expected = [rng.random() for _ in range(5)]
+    # The original has moved on; the copy must replay the same five
+    # draws from its own generator, not continue the original's.
+    assert [twin.random() for _ in range(5)] == expected
+    assert twin.getstate() == rng.getstate()
+    assert twin.random() == rng.random()
