@@ -12,13 +12,14 @@ import json
 
 import networkx as nx
 
+from repro.crypto.padded import head_of
+
 
 def decode_bluetooth_entries(recovered_intelligence):
     """Pull the decoded bluetooth harvests out of attack-center intel."""
     harvests = []
     for item in recovered_intelligence:
-        data = item.get("data", b"")
-        head = data.split(b"\x00", 1)[0]
+        head = head_of(item.get("data", b"")).split(b"\x00", 1)[0]
         try:
             payload = json.loads(head.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):

@@ -115,16 +115,21 @@ class AttackCenter:
 
     def coordinator_decrypt_backlog(self):
         """Open every sealed entry with the coordinator's private key."""
-        opened = 0
-        while self.sealed_backlog:
-            server_name, entry_id, blob = self.sealed_backlog.pop(0)
-            plaintext = unseal(self._coordinator_keypair,
-                               SealedBlob.from_bytes(blob))
-            self.recovered_intelligence.append(
-                {"server": server_name, "entry": entry_id, "data": plaintext}
-            )
-            opened += 1
-        return opened
+        backlog = self.sealed_backlog
+        taken = 0
+        try:
+            for server_name, entry_id, blob in backlog:
+                taken += 1
+                plaintext = unseal(self._coordinator_keypair,
+                                   SealedBlob.from_bytes(blob))
+                self.recovered_intelligence.append(
+                    {"server": server_name, "entry": entry_id,
+                     "data": plaintext}
+                )
+        finally:
+            # An entry that fails to open leaves the backlog too.
+            del backlog[:taken]
+        return taken
 
     def operator_can_read(self, blob):
         """Demonstrably False: the operator lacks the private key."""

@@ -28,8 +28,9 @@ def xor_stream(data, key):
     """Repeating-key XOR tuned for large payloads.
 
     Semantically identical to :func:`xor_encrypt` but runs at C speed by
-    XOR-ing whole big integers, so sealing a multi-megabyte stolen
-    document does not dominate a simulation.
+    XOR-ing whole big integers.  Sealing passes it only literal bytes: a
+    stolen volume's zero run stays a count
+    (:mod:`repro.crypto.sealed`).
     """
     if not key:
         raise ValueError("XOR key must be non-empty")

@@ -142,17 +142,27 @@ class RsaPublicKey(_Immutable):
 
 
 class RsaKeyPair(_Immutable):
-    """Full RSA key pair: everything the public key does, plus sign/unseal."""
+    """Full RSA key pair: everything the public key does, plus sign/unseal.
 
-    __slots__ = ("_p", "_q", "_d", "public")
+    Private operations run through the CRT: ``x^d mod n`` is recombined
+    from ``x^dp mod p`` and ``x^dq mod q`` (Garner), the same integer at
+    about a third of the cost.  ``dp``, ``dq`` and ``qinv`` derive from
+    ``p`` and ``q``, so a key still pickles as ``(p, q, e)``.
+    """
+
+    __slots__ = ("_p", "_q", "_d", "_dp", "_dq", "_qinv", "public")
 
     def __init__(self, p, q, exponent=65537):
         if p == q:
             raise ValueError("p and q must differ")
         phi = (p - 1) * (q - 1)
+        d = pow(exponent, -1, phi)
         object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_d", pow(exponent, -1, phi))
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_dp", d % (p - 1))
+        object.__setattr__(self, "_dq", d % (q - 1))
+        object.__setattr__(self, "_qinv", pow(q, -1, p))
         object.__setattr__(self, "public", RsaPublicKey(p * q, exponent))
 
     def __reduce__(self):
@@ -162,14 +172,20 @@ class RsaKeyPair(_Immutable):
     def modulus(self):
         return self.public.modulus
 
+    def _private(self, value):
+        """``value^d mod n`` through the CRT."""
+        p, q = self._p, self._q
+        low = pow(value, self._dq, q)
+        return low + (self._qinv * (pow(value, self._dp, p) - low) % p) * q
+
     def sign(self, data, algorithm="sha256"):
         """Sign the digest of ``data`` under the named algorithm."""
         value = int.from_bytes(_digest(algorithm, data), "big") % self.modulus
-        return pow(value, self._d, self.modulus)
+        return self._private(value)
 
     def decrypt(self, ciphertext):
         """Unseal a payload produced by :meth:`RsaPublicKey.encrypt`."""
-        value = pow(ciphertext, self._d, self.modulus)
+        value = self._private(ciphertext)
         raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
         if not raw.startswith(b"\x01"):
             raise ValueError("decryption failed: bad framing")

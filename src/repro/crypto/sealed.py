@@ -8,16 +8,42 @@ the private key and hence do not have access to the stolen data."
 RSA can only seal a modulus-sized payload, so (as real systems do) a
 random session key is sealed with RSA and the body is encrypted with a
 stream cipher under that key.
+
+A plaintext may be a :class:`~repro.crypto.padded.Padded` value, as
+Flame's exfil entries are.  Its run is hashed in pieces and XORed as a
+pattern, so sealing, the wire and unsealing carry it as a count.
 """
 
 import hashlib
+import math
 
 from repro.crypto.ciphers import xor_stream
+from repro.crypto.padded import Padded, pad
 from repro.pe.format import ByteReader, pack_bytes
 
 
+def _xor(data, key):
+    """:func:`xor_stream` over ``bytes`` or a :class:`Padded` value.
+
+    A run XORed with a repeating key is a run of the two patterns
+    combined, aligned at the run's offset, so only the head and one
+    period of the run go through :func:`xor_stream`.
+    """
+    if not isinstance(data, Padded):
+        return xor_stream(data, key)
+    offset = len(data.head) % len(key)
+    period = math.lcm(len(data.fill), len(key))
+    fill = xor_stream(data.fill * (period // len(data.fill)),
+                      key[offset:] + key[:offset])
+    return pad(xor_stream(data.head, key), data.run, fill)
+
+
 class SealedBlob:
-    """An encrypted payload only the private-key holder can open."""
+    """An encrypted payload only the private-key holder can open.
+
+    ``ciphertext`` and :meth:`to_bytes` are :class:`Padded` when the
+    plaintext was; :meth:`from_bytes` takes either form.
+    """
 
     def __init__(self, sealed_key, ciphertext):
         self.sealed_key = sealed_key
@@ -51,8 +77,14 @@ def seal(public_key, plaintext, nonce=b""):
     a caller-supplied nonce so simulations stay reproducible; it is still
     only recoverable via the private key.
     """
-    session_key = hashlib.sha256(b"session|" + nonce + b"|" + plaintext).digest()[:16]
-    ciphertext = xor_stream(plaintext, session_key)
+    hasher = hashlib.sha256(b"session|" + nonce + b"|")
+    if isinstance(plaintext, Padded):
+        for chunk in plaintext.chunks():
+            hasher.update(chunk)
+    else:
+        hasher.update(plaintext)
+    session_key = hasher.digest()[:16]
+    ciphertext = _xor(plaintext, session_key)
     sealed_key = public_key.encrypt(session_key)
     return SealedBlob(sealed_key, ciphertext)
 
@@ -60,4 +92,4 @@ def seal(public_key, plaintext, nonce=b""):
 def unseal(keypair, blob):
     """Open a :class:`SealedBlob` with the coordinator's private key."""
     session_key = keypair.decrypt(blob.sealed_key)
-    return xor_stream(blob.ciphertext, session_key)
+    return _xor(blob.ciphertext, session_key)

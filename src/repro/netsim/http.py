@@ -11,7 +11,8 @@ class HttpRequest:
         self.url = url
         self.path = url_path(url)
         self.params = dict(params or {})
-        self.body = bytes(body)
+        #: ``bytes``, or a :class:`repro.crypto.padded.Padded` payload.
+        self.body = body
         #: Hostname/ip of the requesting machine (what a server logs).
         self.client = client
         self.headers = dict(headers or {})

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cnc import AttackCenter, CncClient, CncServer
+from repro.crypto.padded import Padded, pad
 from repro.netsim import Internet, Lan
+from repro.pe.format import PeFormatError
 
 
 @pytest.fixture
@@ -63,6 +65,42 @@ def test_add_entry_flows_to_coordinator_only(cnc_world):
     # The coordinator opens them.
     assert center.coordinator_decrypt_backlog() == 1
     assert center.recovered_intelligence[0]["data"] == b"the stolen file"
+
+
+def test_padded_entry_crosses_the_wire_as_a_count(cnc_world):
+    center, server = cnc_world["center"], cnc_world["server"]
+    client = CncClient("uid-v-1", ["primary.com"])
+    entry = pad(b'{"kind": "files"}', 5_000_000)
+    assert client.add_entry(cnc_world["lan"], cnc_world["victim"], entry,
+                            center.coordinator_public_key)
+    (stored,) = server.folders["newsforyou/entries"].values()
+    assert isinstance(stored, Padded)
+    assert len(stored) == server.bytes_received == client.bytes_uploaded
+    center.harvest()
+    center.coordinator_decrypt_backlog()
+    opened = center.recovered_intelligence[0]["data"]
+    assert (opened.head, opened.run, opened.fill) == (
+        b'{"kind": "files"}', 5_000_000, b"\x00")
+
+
+def test_decrypt_backlog_keeps_order_and_stops_at_a_bad_entry(cnc_world):
+    center = cnc_world["center"]
+    client = CncClient("uid-v-1", ["primary.com"])
+    for index in range(5):
+        client.add_entry(cnc_world["lan"], cnc_world["victim"],
+                         b"doc-%d" % index, center.coordinator_public_key)
+    center.harvest()
+    center.sealed_backlog.insert(3, ("cnc-01", "bogus", b"\x00"))
+    with pytest.raises(PeFormatError):
+        center.coordinator_decrypt_backlog()
+    # Entries before the bad one opened, in order; it left the backlog.
+    assert [item["data"] for item in center.recovered_intelligence] == [
+        b"doc-0", b"doc-1", b"doc-2"]
+    assert len(center.sealed_backlog) == 2
+    assert center.coordinator_decrypt_backlog() == 2
+    assert [item["data"] for item in center.recovered_intelligence] == [
+        b"doc-%d" % index for index in range(5)]
+    assert center.sealed_backlog == []
 
 
 def test_push_command_reaches_all_servers(kernel, cnc_world, host_factory):

@@ -1,7 +1,9 @@
 """Schoolbook RSA: signing, sealing, determinism, the per-process key cache."""
 
 import copy
+import hashlib
 import pickle
+import random
 
 import pytest
 
@@ -118,7 +120,8 @@ def test_public_key_attributes_are_read_only(attribute):
         public.extra = 1
 
 
-@pytest.mark.parametrize("attribute", ("public", "_p", "_q", "_d"))
+@pytest.mark.parametrize("attribute", ("public", "_p", "_q", "_d",
+                                       "_dp", "_dq", "_qinv"))
 def test_keypair_attributes_are_read_only(attribute):
     keypair = generate_keypair("frozen")
     with pytest.raises(AttributeError):
@@ -179,3 +182,45 @@ def test_repeated_calls_share_one_cached_object():
     assert generate_keypair("spelling", bits=256).modulus != key.modulus
     assert rsa._derive_keypair.cache_info().currsize == 2
 
+
+
+# -- private operations through the CRT ----------------------------------------
+# sign and decrypt recombine x^dp mod p and x^dq mod q; they must give
+# the textbook x^d mod n for every input.
+
+_CRT_LABELS = (("coordinator:attack-center", 512), ("crt-a", 512),
+               ("crt-b", 256), ("crt-c", 1024))
+
+
+@pytest.mark.parametrize("label,bits", _CRT_LABELS)
+def test_crt_private_operations_match_textbook(label, bits):
+    keypair = generate_keypair(label, bits)
+    n, d = keypair.modulus, keypair._d
+    rng = random.Random("crt|%s|%d" % (label, bits))
+    for _ in range(60):
+        message = rng.randbytes(rng.randrange(0, 64))
+        digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % n
+        assert keypair.sign(message) == pow(digest, d, n)
+        session_key = rng.randbytes(16)
+        ciphertext = keypair.public.encrypt(session_key)
+        assert keypair.decrypt(ciphertext) == session_key
+        textbook = pow(ciphertext, d, n)
+        assert keypair.decrypt(ciphertext) == textbook.to_bytes(
+            (textbook.bit_length() + 7) // 8, "big")[1:]
+        value = rng.randrange(n)
+        assert keypair._private(value) == pow(value, d, n)
+    for value in (0, 1, keypair._p, keypair._q, n - 1):
+        assert keypair._private(value) == pow(value, d, n)
+
+
+def test_crt_key_pickles_as_its_primes():
+    keypair = generate_keypair("crt-a")
+    assert keypair.__reduce__() == (
+        RsaKeyPair, (keypair._p, keypair._q, keypair.public.exponent))
+    clone = pickle.loads(pickle.dumps(keypair))
+    _assert_same_key(clone, keypair)
+    assert ((clone._dp, clone._dq, clone._qinv)
+            == (keypair._dp, keypair._dq, keypair._qinv))
+    ciphertext = keypair.public.encrypt(b"sealed")
+    assert clone.decrypt(ciphertext) == keypair.decrypt(ciphertext)
+    assert clone.sign(b"m") == keypair.sign(b"m")

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.malware.flame import collectors
+from repro.crypto.padded import Padded
+from repro.malware.flame import collectors, euphoria
 from repro.malware.flame.adventcfg import AdventCfg
 from repro.malware.flame.modules import FlameModuleManager
 from repro.malware.flame.scripts import FLASK_SOURCE, JIMMY_SOURCE
@@ -103,3 +104,66 @@ def test_adventcfg_detach_stops_watching(victim):
     advent.detach()
     victim.event_log.warning("antivirus", "flame detected")
     assert advent.pending_screenshots == []
+
+
+# -- padded entries ------------------------------------------------------------
+# Each entry is its JSON head plus the stolen volume as a zero count: the
+# same length as the head with real zero bytes appended, and the same
+# bytes when built.
+
+def _assert_padded(entry, head, zeros):
+    assert isinstance(entry, Padded)
+    assert entry.head == head and entry.run == zeros
+    assert len(entry) == len(head) + zeros
+    assert bytes(entry) == head + b"\x00" * zeros
+
+
+def test_jimmy_content_entry_is_head_plus_stolen_volume(victim):
+    paths = ["c:\\users\\u\\documents\\secret-design.docx",
+             "c:\\users\\u\\documents\\drawing.dwg"]
+    entry, stolen = collectors.run_jimmy_content(victim, paths)
+    head = json.dumps({"kind": "files", "client": "VICTIM",
+                       "files": stolen}).encode("utf-8")
+    _assert_padded(entry, head, 800)
+
+
+def test_jimmy_content_without_files_is_plain_bytes(victim):
+    entry, stolen = collectors.run_jimmy_content(victim, ["c:\\nope.doc"])
+    assert stolen == []
+    assert entry == json.dumps({"kind": "files", "client": "VICTIM",
+                                "files": []}).encode("utf-8")
+
+
+def test_microbe_entry_is_head_plus_recording(victim):
+    entry = collectors.run_microbe(victim, duration_seconds=10)
+    head = json.dumps({"kind": "audio", "client": "VICTIM",
+                       "device": "default-microphone",
+                       "duration": 10}).encode("utf-8")
+    _assert_padded(entry, head, 40_000)
+
+
+def test_adventcfg_screenshot_is_head_plus_bitmap(victim):
+    advent = AdventCfg(victim)
+    victim.event_log.warning("antivirus", "threat detected in mssecmgr.ocx")
+    (shot,) = advent.drain_screenshots()
+    head = json.dumps({"kind": "screenshot", "client": "VICTIM",
+                       "trigger": "threat detected in mssecmgr.ocx",
+                       "severity": "warning"}).encode("utf-8")
+    _assert_padded(shot, head, 40_000)
+
+
+def test_courier_flush_entry_is_head_plus_documents(victim):
+    from repro.usb import HiddenDatabase, UsbDrive
+
+    drive = UsbDrive("courier")
+    db = HiddenDatabase.load_or_create(drive)
+    db.mark_internet_connected()
+    db.store_document("ISLAND", "c:\\a.docx", 1200, "ext=docx")
+    db.store_document("ISLAND", "c:\\b.dwg", 34, "ext=dwg")
+    documents = db.documents()
+    uploaded = []
+    assert euphoria.courier_flush(victim, drive, lambda e: uploaded.append(e)
+                                  or True) == 2
+    head = json.dumps({"kind": "courier", "client": "VICTIM",
+                       "documents": documents}).encode("utf-8")
+    _assert_padded(uploaded[0], head, 1234)
