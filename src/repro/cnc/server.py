@@ -79,6 +79,9 @@ class CncServer:
         #: Dead-drop folders: path -> bytes.
         self.folders = {ADS_FOLDER: {}, NEWS_FOLDER: {}, ENTRIES_FOLDER: {}}
         self._entry_counter = 0
+        #: Entries collected but not yet shredded: the ``retrieved``
+        #: rows of ``packages``, kept here so that no lookup scans it.
+        self._retrieved = set()
         self.bytes_received = 0
         self.bytes_served = 0
         self._cleanup_task = None
@@ -110,17 +113,16 @@ class CncServer:
 
     def _cleanup_entries(self):
         """Delete entry files already retrieved by the attack center."""
-        removed = 0
-        for entry_id in list(self.folders[ENTRIES_FOLDER]):
-            row = self.db.select_one("packages", entry_id=entry_id)
-            if row is not None and row.get("retrieved"):
-                del self.folders[ENTRIES_FOLDER][entry_id]
-                self.db.delete("packages", entry_id=entry_id)
-                removed += 1
-        if removed:
-            self.kernel.metrics.inc("cnc.entries_shredded", removed)
-            self.kernel.trace.record(self.name, "cnc-entries-shredded",
-                                     count=removed)
+        retrieved, self._retrieved = self._retrieved, set()
+        if not retrieved:
+            return
+        for entry_id in retrieved:
+            del self.folders[ENTRIES_FOLDER][entry_id]
+        self.db.delete_where("packages",
+                             lambda row: row["entry_id"] in retrieved)
+        self.kernel.metrics.inc("cnc.entries_shredded", len(retrieved))
+        self.kernel.trace.record(self.name, "cnc-entries-shredded",
+                                 count=len(retrieved))
 
     def shutdown(self):
         """Take the server dark (suicide or takedown)."""
@@ -128,6 +130,7 @@ class CncServer:
         if self._cleanup_task is not None:
             self._cleanup_task.stop()
         self.folders = {ADS_FOLDER: {}, NEWS_FOLDER: {}, ENTRIES_FOLDER: {}}
+        self._retrieved = set()
         self.db.drop_all()
 
     # -- operator-side dead-drop writes ---------------------------------------------
@@ -148,11 +151,11 @@ class CncServer:
         """
         collected = []
         for entry_id, blob in self.folders[ENTRIES_FOLDER].items():
-            row = self.db.select_one("packages", entry_id=entry_id)
-            if row is None or not row.get("retrieved"):
+            if entry_id not in self._retrieved:
                 collected.append((entry_id, blob))
                 self.db.update("packages", {"entry_id": entry_id},
                                {"retrieved": True})
+                self._retrieved.add(entry_id)
         return collected
 
     def pending_entry_count(self):

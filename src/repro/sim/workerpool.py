@@ -9,10 +9,13 @@ Every parallel sweep runs on a :class:`WorkerPool`:
   :func:`shared_pool` keeps one pool alive between sweeps keyed on
   ``(spec, base_seed, workers)``, so a resumed sweep (or a benchmark
   loop) stops paying pool start-up; an ``atexit`` hook reaps it.
-* **Warm imports.**  Workers have :mod:`repro.core.ensemble` (and with
-  it every campaign module) imported before their first task —
-  preloaded into the fork server on the forkserver path, inherited
-  through fork, imported at startup under spawn.
+* **Forked warm.**  Workers are forked straight from the process that
+  runs the sweep, so they inherit its imports and its cache of derived
+  RSA keys: no fork server starts and no worker derives a key its
+  parent already holds.  Each closes, after the fork, the parent-side
+  pipe ends it inherited, so a parent that dies leaves none of them
+  blocked on a pipe it holds both ends of.  Where ``fork`` is missing
+  the workers are spawned and import the campaign stack themselves.
 * **Compact result rows.**  Workers ship each finished replica home as
   a struct-framed binary row (:func:`encode_replica_row`) instead of a
   pickled ``ReplicaResult``.  The replica's seed is *not* shipped: it
@@ -69,6 +72,7 @@ import time
 from collections import deque
 from itertools import count
 from multiprocessing import connection as _connection
+from multiprocessing.util import register_after_fork
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import STATUS_ERROR, SpanRecorder
@@ -78,13 +82,6 @@ from repro.sim.errors import (
     SupervisionError,
 )
 from repro.sim.retry import RetryPolicy, deterministic_backoff
-
-#: Start-method preference.  forkserver gives clean workers that are
-#: still cheap to mint (and lets :mod:`repro.core.ensemble` be preloaded
-#: into the server, so workers are born warm); fork is the fallback
-#: where forkserver is missing; spawn always works because the worker
-#: entrypoint and everything it pickles are module-level.
-_PREFERRED_START_METHODS = ("forkserver", "fork", "spawn")
 
 #: Wall-clock grace given to workers at orderly shutdown before SIGKILL.
 _SHUTDOWN_GRACE_SECONDS = 2.0
@@ -124,26 +121,23 @@ _LEN = struct.Struct("<I")
 
 
 def pool_start_method():
-    """The start method sweep workers run under."""
-    available = multiprocessing.get_all_start_methods()
-    for method in _PREFERRED_START_METHODS:
-        if method in available:
-            return method
+    """The start method sweep workers run under: ``fork`` where the
+    platform has it, else ``spawn`` (which always works because the
+    worker entrypoint and everything it pickles are module-level)."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
     return "spawn"
 
 
 def pool_context():
-    """A multiprocessing context configured for warm sweep workers.
+    """A multiprocessing context for warm sweep workers.
 
-    On the forkserver path the campaign stack is preloaded into the
-    server process, so every worker it forks — including each restart
-    after a crash — starts with its imports already done.
+    Under ``fork`` every worker, each restart after a crash included,
+    is a copy of the sweep process: its imports and its derived RSA
+    keys come with it, and it must close the parent-side pipe ends it
+    inherits (:meth:`WorkerPool._spawn` arranges that).
     """
-    method = pool_start_method()
-    context = multiprocessing.get_context(method)
-    if method == "forkserver":
-        context.set_forkserver_preload(["repro.core.ensemble"])
-    return context
+    return multiprocessing.get_context(pool_start_method())
 
 
 # -- result-row codec ----------------------------------------------------------
@@ -484,6 +478,11 @@ class WorkerPool:
             target=_worker_main,
             args=(wid, self.spec, self.base_seed, task_recv, result_send),
             daemon=True, name="sweep-worker-%d" % wid)
+        # A forked worker inherits the parent's ends of every pipe, its
+        # own included: holding both ends, it would never see its
+        # parent die.  This fork and every later one close them.
+        for end in (task_send, result_recv):
+            register_after_fork(end, type(end).close)
         process.start()
         # Close the parent's copies of the child's pipe ends: recv on
         # the result pipe then raises EOFError when the child dies, and

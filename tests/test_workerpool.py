@@ -12,18 +12,27 @@ WorkerPool`:
   terminates the pool, so no worker survives a failed sweep;
 * a worker that dies while idle is reaped and replaced without
   charging any replica an attempt;
-* ``shutdown_shared_pool`` (the atexit hook) reaps the survivor.
+* ``shutdown_shared_pool`` (the atexit hook) reaps the survivor;
+* workers forked from a sweep process die with it, even when it is
+  SIGKILLed mid-sweep and never reaps them;
+* the ``spawn`` fallback gives the same replicas as a serial sweep.
 
 Every test ends by asserting that no ``sweep-worker-*`` child leaked.
 """
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
 from repro.core.ensemble import CampaignSpec, replica_seed, run_replica
 from repro.core.resume import SweepCheckpoint
+from repro.sim import workerpool
 from repro.sim.errors import PoisonReplicaError
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.sim.workerpool import (
@@ -159,6 +168,95 @@ def test_warm_pool_context_manager_reaps_on_error():
             assert len(pool.pids()) == 2
             raise KeyboardInterrupt
     assert worker_count() == 0
+
+
+# -- parent death and the start method ----------------------------------------
+
+#: A long sweep on two workers that records every finished replica in
+#: ``MANIFEST.jsonl`` under the directory given as ``argv[2]``.
+ORPHAN_SWEEP = textwrap.dedent("""
+    import sys
+    from repro.core.ensemble import CampaignSpec
+    from repro.sim.sweep import SweepConfig, run_sweep
+
+    run_sweep(CampaignSpec.quick("shamoon"),
+              SweepConfig(replicas=400, workers=2, mode=sys.argv[1],
+                          chunk_size=4),
+              checkpoint_dir=sys.argv[2])
+""")
+
+
+def live_group_members(pgid):
+    """Pids of the processes in group ``pgid`` that are not zombies."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as stat:
+                data = stat.read()
+        except OSError:
+            continue
+        fields = data[data.rindex(")") + 2:].split()
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            pids.append(int(entry))
+    return pids
+
+
+def manifest_lines(directory):
+    try:
+        with open(os.path.join(directory, "MANIFEST.jsonl"), "rb") as stream:
+            return stream.read().count(b"\n")
+    except FileNotFoundError:
+        return 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+@pytest.mark.parametrize("mode", ["parallel", "supervised"])
+def test_workers_die_with_a_sigkilled_parent(tmp_path, mode):
+    """SIGKILL a sweep process mid-sweep: no exit handler runs, so its
+    workers must see it die through their pipes and exit on their own.
+    A worker still holding the parent's end of a pipe would block on it
+    forever."""
+    directory = str(tmp_path / "sweep")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.dirname(
+        workerpool.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_SWEEP, mode, directory], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    pgid = process.pid
+    try:
+        deadline = time.monotonic() + 60.0
+        while manifest_lines(directory) < 1 + 4 and process.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert process.poll() is None, "the sweep ended before the kill"
+        # The parent and its two workers: no fork server runs.
+        assert len(live_group_members(pgid)) == 3
+        process.kill()
+        process.wait()
+        deadline = time.monotonic() + 2.0
+        while live_group_members(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert live_group_members(pgid) == []
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+
+
+def test_spawn_fallback_matches_serial(monkeypatch):
+    monkeypatch.setattr(workerpool, "pool_start_method", lambda: "spawn")
+    serial = run_sweep(SPEC, pool_config(mode="serial"))
+    spawned = run_sweep(SPEC, pool_config())
+    assert _shared["pool"]._context.get_start_method() == "spawn"
+    assert [stable_dict(r) for r in spawned.replicas] == \
+        [stable_dict(r) for r in serial.replicas]
 
 
 # -- direct pool use and the row codec -----------------------------------------
