@@ -1,28 +1,32 @@
-"""Sweep engine scaling: pooled parallel vs serial, identical results.
+"""Sweep engine scaling: pooled auto vs serial, identical results.
 
-Runs the same quick Stuxnet ensemble through the serial path and the
-warm worker pool — under the default fail-fast policy and under
-``SupervisorConfig()`` with no failures injected — asserts all three
-produce bit-identical per-replica measurements and trace digests, and
-writes the wall-time comparison to ``BENCH_sweep.json`` at the
-repository root so the perf trajectory is tracked across changes
-(a ``--quick`` run writes ``bench-quick/BENCH_sweep.json`` instead).
-The supervised/default ratio is the cost of the retry-and-quarantine
-policy when nothing fails; the goal is ~1.0.
+Runs the same quick Stuxnet ensemble the way a user's sweep runs it:
+through the serial path, under ``mode="auto"`` (an in-process cost
+probe, then the worker pool) and under ``mode="supervised"`` with
+``SupervisorConfig()`` and no failures injected.  It asserts that all
+three produce bit-identical per-replica measurements and trace digests,
+and writes the wall-time comparison to ``BENCH_sweep.json`` at the
+repository root so the perf trajectory is tracked across changes (a
+``--quick`` run writes ``bench-quick/BENCH_sweep.json`` instead).  The
+supervised/auto ratio is the cost of the retry-and-quarantine policy
+when nothing fails; the goal is ~1.0.
 
-Timing methodology: interleaved serial/parallel/supervised rounds,
-keeping each side's minimum, reporting the ratio of minimums — the minimum of
+Each sweep forks its own pool and closes it, so every timed pooled
+sweep pays for its own workers' start and close, as ``repro sweep``
+does.  Both presets are sized so the whole ensemble costs well above
+``PARALLEL_BREAK_EVEN_SECONDS`` of serial work: ``auto`` must take the
+pool, and every timed ``auto`` sweep asserts that it did.
+
+Timing methodology: interleaved serial/auto/supervised rounds, keeping
+each side's minimum, reporting the ratio of minimums — the minimum of
 several rounds converges on the true cost, and interleaving cancels
 machine-load drift.  In each round a side repeats its sweep until it has
 run for at least ``MIN_ROUND_SECONDS`` and counts the mean time of one
-sweep: a quick sweep takes well under a second, and a round that short
-would measure the machine's noise rather than the pool.  A process pool
-does its work in *children*, which ``process_time`` never sees, so this
-benchmark times wall clock (``perf_counter``).
-
-A warm-up round runs first, so the timed rounds measure the steady
-state the warm pool exists for: spec already shipped, imports done,
-pool reused round after round (``pool_reused`` is asserted).
+sweep.  A process pool does its work in *children*, which
+``process_time`` never sees, so this benchmark times wall clock
+(``perf_counter``).  A warm-up round runs first, so imports and the
+parent's derived RSA keys (which forked workers inherit) are in place
+before any timing.
 
 The >= 1.5x speedup floor is asserted with 2 workers wherever 2+ cores
 are actually available (CI runners have 4); on a single effective core
@@ -41,8 +45,8 @@ from repro.sim.sweep import SweepConfig, run_sweep
 from repro.sim.workerpool import SupervisorConfig, pool_start_method
 
 
-#: Acceptance criterion: pooled parallel dispatch with 2 workers
-#: must beat serial by at least this factor on the quick workload.
+#: Acceptance criterion: an ``auto`` sweep on 2 workers must beat
+#: serial by at least this factor on the quick workload.
 SPEEDUP_FLOOR = 1.5
 
 #: Cores the floor needs to be meaningful: 2 workers want 2 cores.
@@ -87,60 +91,56 @@ def _interleaved_minimums(rounds, *fns):
     return [min(samples) for samples in times]
 
 
-def test_sweep_scaling_serial_vs_warm_pool(quick, bench_path):
-    replicas = 6 if quick else 16
+def test_sweep_scaling_serial_vs_auto_pool(quick, bench_path):
+    replicas = 64 if quick else 128
     rounds = 3 if quick else 5
     cores = effective_cores()
     spec = CampaignSpec.quick("stuxnet")
 
     serial_config = SweepConfig(replicas=replicas, workers=1,
                                 mode="serial", base_seed=BASE_SEED)
-    # mode="parallel" + chunk_size=1 pins the pure pool path: no serial
-    # probe inside the timed region, every replica through a worker.
-    parallel_config = SweepConfig(replicas=replicas, workers=WORKERS,
-                                  mode="parallel", base_seed=BASE_SEED,
-                                  chunk_size=1)
-    # Same pool key, so the same warm workers, under the supervised
-    # policy: retries and quarantine armed, nothing failing.
+    # What ``repro sweep`` runs by default: probe, then the pool with
+    # probe-sized chunks.
+    auto_config = SweepConfig(replicas=replicas, workers=WORKERS,
+                              mode="auto", base_seed=BASE_SEED)
+    # The same pool shape under the supervised policy: retries and
+    # quarantine armed, nothing failing, spread-sized chunks.
     supervised_config = SweepConfig(replicas=replicas, workers=WORKERS,
-                                    mode="supervised", base_seed=BASE_SEED,
-                                    chunk_size=1)
+                                    mode="supervised", base_seed=BASE_SEED)
     supervision = SupervisorConfig()
 
-    # Warm-up round: ships the spec, builds the shared pool, fills the
-    # compile caches — and proves the engine's core guarantee before
-    # any timing: the pool changes wall time, never results.
+    # Warm-up round: imports, derived keys and compile caches — and
+    # proof of the engine's core guarantee before any timing: the pool
+    # changes wall time, never results.
     serial = run_sweep(spec, serial_config)
-    parallel = run_sweep(spec, parallel_config)
-    supervised = run_sweep(spec, supervised_config, supervision=supervision)
-    for pooled in (parallel, supervised):
-        assert serial.measurements() == pooled.measurements()
-        assert serial.digests() == pooled.digests()
-        assert [r.seed for r in serial.replicas] == \
-            [r.seed for r in pooled.replicas]
-        assert pooled.dispatch["path"] == "warm-pool"
-    assert supervised.complete()
+    chunk_sizes = {}
 
-    reused = []
-
-    def timed(config, **kwargs):
+    def pooled(config, **kwargs):
         def run():
             result = run_sweep(spec, config, **kwargs)
-            reused.append(result.dispatch["pool_reused"])
+            assert result.dispatch["path"] == "warm-pool"
+            assert result.complete()
+            assert result.digests() == serial.digests()
+            chunk_sizes[config.mode] = result.chunk_size
+            return result
         return run
 
-    serial_s, parallel_s, supervised_s = _interleaved_minimums(
+    run_auto = pooled(auto_config)
+    run_supervised = pooled(supervised_config, supervision=supervision)
+    for result in (run_auto(), run_supervised()):
+        assert serial.measurements() == result.measurements()
+        assert [r.seed for r in serial.replicas] == \
+            [r.seed for r in result.replicas]
+
+    serial_s, auto_s, supervised_s = _interleaved_minimums(
         rounds,
         lambda: run_sweep(spec, serial_config),
-        timed(parallel_config),
-        timed(supervised_config, supervision=supervision),
+        run_auto,
+        run_supervised,
     )
-    # The steady state being measured is the *warm* pool: every timed
-    # round must have reused the pool the warm-up round built.
-    assert all(reused)
 
-    speedup = serial_s / parallel_s if parallel_s else float("inf")
-    supervision_overhead = supervised_s / parallel_s if parallel_s \
+    speedup = serial_s / auto_s if auto_s else float("inf")
+    supervision_overhead = supervised_s / auto_s if auto_s \
         else float("inf")
     asserted = cores >= MIN_CORES_FOR_SPEEDUP
     payload = {
@@ -151,14 +151,16 @@ def test_sweep_scaling_serial_vs_warm_pool(quick, bench_path):
         "cpu_count": os.cpu_count() or 1,
         "effective_cores": cores,
         "start_method": pool_start_method(),
+        "pool": "fresh per sweep",
         "replicas": replicas,
         "workers": WORKERS,
-        "chunk_size": 1,
+        "auto_chunk_size": chunk_sizes["auto"],
+        "supervised_chunk_size": chunk_sizes["supervised"],
         "rounds": rounds,
         "min_round_seconds": MIN_ROUND_SECONDS,
-        "pool_reused_every_round": all(reused),
+        "auto_path_every_round": "warm-pool",
         "serial_wall_seconds": serial_s,
-        "parallel_wall_seconds": parallel_s,
+        "auto_wall_seconds": auto_s,
         "supervised_wall_seconds": supervised_s,
         "supervision_overhead_ratio": supervision_overhead,
         "speedup": speedup,
@@ -176,15 +178,15 @@ def test_sweep_scaling_serial_vs_warm_pool(quick, bench_path):
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
-    print("sweep scaling (%d replicas, %d effective cores, %s): "
-          "serial %.2fs, pool %.2fs with %d workers -> %.2fx; "
-          "supervised %.2fs (%.2fx the default policy)"
-          % (replicas, cores, pool_start_method(), serial_s, parallel_s,
+    print("sweep scaling (%d replicas, %d effective cores, %s, fresh pool "
+          "per sweep): serial %.2fs, auto %.2fs with %d workers -> %.2fx; "
+          "supervised %.2fs (%.2fx auto)"
+          % (replicas, cores, pool_start_method(), serial_s, auto_s,
              WORKERS, speedup, supervised_s, supervision_overhead))
     print("wrote %s" % path)
 
     if asserted:
         assert speedup >= SPEEDUP_FLOOR, (
-            "pooled sweep only %.2fx faster than serial on %d "
+            "auto sweep only %.2fx faster than serial on %d "
             "effective cores (floor: %.1fx)"
             % (speedup, cores, SPEEDUP_FLOOR))

@@ -15,9 +15,12 @@ contract:
 * a ``--resume`` retry pass with the chaos gone completes the ensemble
   to a result byte-identical to the undisturbed serial run.
 
-A machine-readable ``failure_report.json`` (quarantine records read
-back from the manifest, plus the supervision report) is written next
-to the manifest for CI to upload as an artifact.
+A machine-readable ``OUTPUT_DIR/<campaign>-failure_report.json``
+(quarantine records read back from the manifest, plus the supervision
+report) is written beside the campaign's checkpoint directory, not in
+it, so the directory holds only its manifest and a second run into the
+same ``OUTPUT_DIR`` starts from it cleanly.  CI uploads ``OUTPUT_DIR``
+as an artifact.
 
 Usage::
 
@@ -89,7 +92,7 @@ def check(campaign, directory):
         failures.append("manifest quarantine records wrong: %r"
                         % sorted(on_disk))
 
-    report_path = os.path.join(directory, "failure_report.json")
+    report_path = directory + "-failure_report.json"
     with open(report_path, "w", encoding="utf-8") as stream:
         json.dump({"campaign": campaign,
                    "failures": [f.as_dict() for _, f

@@ -282,8 +282,6 @@ def _cmd_sweep(args):
              result.chunk_size, result.wall_seconds))
     if result.dispatch:
         notes = []
-        if result.dispatch.get("pool_reused"):
-            notes.append("warm pool reused")
         if result.dispatch.get("probe_seconds") is not None:
             notes.append("probe %.3fs/replica"
                          % result.dispatch["probe_seconds"])

@@ -29,11 +29,10 @@ decides *when* to checkpoint and *how* to come back:
   finished replicas short-circuit straight from the manifest and only
   the missing ones re-run; deterministic per-replica seeding makes the
   merged result byte-identical to an uninterrupted sweep.  The pending
-  set re-enters ``run_sweep`` with the same (spec, base seed, workers)
-  triple, so in-process resumes (retry loops, salvage-then-retry) land
-  on the process-wide warm worker pool (:mod:`repro.sim.workerpool`)
-  instead of paying worker start-up again; and when the pending set is
-  small, the adaptive fallback skips process dispatch for it entirely.
+  set re-enters ``run_sweep``, which forks its own worker pool for it
+  (:mod:`repro.sim.workerpool`) and closes it when the sweep ends; when
+  the pending set is small, the adaptive fallback skips process
+  dispatch for it entirely.
 """
 
 import json

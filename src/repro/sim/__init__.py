@@ -37,8 +37,6 @@ from repro.sim.workerpool import (
     ChaosPlan,
     SupervisorConfig,
     WorkerPool,
-    shared_pool,
-    shutdown_shared_pool,
 )
 
 __all__ = [
@@ -74,8 +72,6 @@ __all__ = [
     "deterministic_backoff",
     "lan_scope",
     "run_sweep",
-    "shared_pool",
     "should_fallback",
-    "shutdown_shared_pool",
     "state_digest",
 ]

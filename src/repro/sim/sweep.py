@@ -16,9 +16,9 @@ properties make the ensemble trustworthy:
    reproduces the parallel results exactly, replica for replica.
 
 ``SweepConfig.mode`` alone picks the dispatch path.  ``"serial"`` runs
-in-process; the other three run on the warm, reusable, supervised
-worker pool of :mod:`repro.sim.workerpool` (spec shipped once per
-worker, compact binary result rows, cross-sweep reuse):
+in-process; the other three run on the supervised worker pool of
+:mod:`repro.sim.workerpool` (spec shipped once per worker, compact
+binary result rows; each sweep forks its own pool and closes it):
 
 * ``"parallel"`` sends every pending replica to the pool under the
   fail-fast policy, with explicit or spread-sized chunks;
@@ -215,11 +215,10 @@ class SweepResult:
         #: nondeterministic.
         self.supervision = supervision
         #: How dispatch actually went: which path ran ("serial",
-        #: "serial-fallback", "warm-pool"), the probe measurement and
-        #: break-even that steered it, and whether a warm pool was
-        #: reused.  Wall-clock-bound like ``supervision``,
-        #: so kept apart from the replica data — tests assert on
-        #: ``dispatch["path"]``, never on the timings.
+        #: "serial-fallback", "warm-pool"), and the probe measurement
+        #: and break-even that steered it.  Wall-clock-bound like
+        #: ``supervision``, so kept apart from the replica data — tests
+        #: assert on ``dispatch["path"]``, never on the timings.
         self.dispatch = dispatch or {}
 
     def measurements(self):
@@ -395,7 +394,6 @@ def run_sweep(spec, config, checkpoint_dir=None, resume=False,
     dispatch = {
         "requested_mode": config.mode,
         "path": "serial" if mode == "serial" else "warm-pool",
-        "pool_reused": False,
         "probe_seconds": None,
         "estimated_seconds": None,
         "break_even_seconds": break_even,
@@ -424,18 +422,17 @@ def run_sweep(spec, config, checkpoint_dir=None, resume=False,
         replicas.extend(record(run_replica(spec, index, config.base_seed))
                         for index in rest)
     elif rest:
-        from repro.sim.workerpool import FAIL_FAST, shared_pool
+        from repro.sim.workerpool import FAIL_FAST, WorkerPool
 
         if mode == "parallel" and config.chunk_size is None:
             chunk_size = adaptive_chunk_size(len(rest), config.workers,
                                              dispatch["probe_seconds"])
-        pool, dispatch["pool_reused"] = shared_pool(
-            spec, config.base_seed, config.workers)
-        outcome = pool.run(
-            shard_chunks(rest, chunk_size), supervision or FAIL_FAST,
-            record=record,
-            record_failure=(manifest.record_failure
-                            if manifest is not None else None))
+        with WorkerPool(spec, config.base_seed, config.workers) as pool:
+            outcome = pool.run(
+                shard_chunks(rest, chunk_size), supervision or FAIL_FAST,
+                record=record,
+                record_failure=(manifest.record_failure
+                                if manifest is not None else None))
         replicas.extend(outcome.replicas)
         failures = outcome.failures
         supervision_report = outcome.report

@@ -1,14 +1,13 @@
-"""Sweep worker processes: one warm, reusable, supervised pool.
+"""Sweep worker processes: one supervised pool per sweep.
 
 Every parallel sweep runs on a :class:`WorkerPool`:
 
-* **Persistent workers.**  A pool owns up to N long-lived worker
-  processes for one ``(spec, base_seed)``.  Each receives the
-  pickle-safe ``CampaignSpec`` exactly **once**, as a process argument;
-  every task is just a chunk of replica indices, never the spec again.
-  :func:`shared_pool` keeps one pool alive between sweeps keyed on
-  ``(spec, base_seed, workers)``, so a resumed sweep (or a benchmark
-  loop) stops paying pool start-up; an ``atexit`` hook reaps it.
+* **One pool per sweep.**  Each sweep forks its own pool and closes it:
+  :func:`repro.sim.sweep.run_sweep` holds the pool in a ``with`` block
+  for exactly one sweep.  A pool owns up to N worker processes for one
+  ``(spec, base_seed)``.  Each receives the pickle-safe
+  ``CampaignSpec`` exactly **once**, as a process argument; every task
+  is just a chunk of replica indices, never the spec again.
 * **Forked warm.**  Workers are forked straight from the process that
   runs the sweep, so they inherit its imports and its cache of derived
   RSA keys: no fork server starts and no worker derives a key its
@@ -44,11 +43,11 @@ out, then record a structured
 returns every completed :class:`~repro.core.ensemble.ReplicaResult`
 plus a machine-readable supervision report.
 
-One lifecycle rule covers every policy: a run that returns leaves the
-pool warm; anything that escapes a run (a typed replica error, a
-record-callback exception, ``KeyboardInterrupt``, a
-:class:`~repro.sim.errors.SupervisionError`) terminates the pool and
-clears the shared slot, so no worker process outlives a failed sweep.
+One lifecycle rule covers every policy: a sweep closes its pool.  A
+sweep that returns closes it in order; anything that escapes (a typed
+replica error, a record-callback exception, ``KeyboardInterrupt``, a
+:class:`~repro.sim.errors.SupervisionError`) terminates it, so no
+worker process outlives its sweep.
 
 Determinism is preserved throughout: a retried replica re-runs
 :func:`~repro.core.ensemble.run_replica` from its pure
@@ -62,7 +61,6 @@ campaigns from inside :mod:`repro.sim`, so the ensemble imports happen
 lazily inside functions to keep package import order acyclic.
 """
 
-import atexit
 import json
 import multiprocessing
 import os
@@ -341,8 +339,8 @@ def _worker_main(worker_id, spec, base_seed, tasks, results):
             results.send(message)
 
     def beat():
-        # Sleeps without a timeout while idle, so a warm pool parked
-        # between sweeps neither wakes nor fills its result pipe; a new
+        # Sleeps without a timeout while idle, so a worker parked
+        # between runs neither wakes nor fills its result pipe; a new
         # task sets ``wake`` to start the beat.
         while not state["frozen"]:
             wake.wait(HEARTBEAT_SECONDS if state["busy"] else None)
@@ -444,14 +442,14 @@ class PoolOutcome:
 
 
 class WorkerPool:
-    """Up to N persistent sweep workers for one ``(spec, base_seed)``.
+    """Up to N sweep workers for one ``(spec, base_seed)``.
 
-    The pool outlives individual :meth:`run` calls: a sweep dispatches
-    its chunks, the workers drain them and go idle, and the next sweep
-    over the same spec reuses the same (still warm) processes.  Workers
-    are spawned on demand, so a dead one is simply reaped and replaced.
-    Use :func:`shared_pool` for the process-wide reusable instance;
-    construct directly (ideally as a context manager) for a private one.
+    Use it as a context manager, as :func:`~repro.sim.sweep.run_sweep`
+    does for each sweep: a clean exit closes the pool, an exception
+    terminates it.  Within the block the workers outlive individual
+    :meth:`run` calls: a run dispatches its chunks, the workers drain
+    them and go idle, and a second run reuses them.  Workers are
+    spawned on demand, so a dead one is simply reaped and replaced.
     """
 
     def __init__(self, spec, base_seed, workers):
@@ -681,7 +679,7 @@ class WorkerPool:
                     worker.tasks.send(items)
                 except OSError:
                     # The worker died while idle (between chunks or
-                    # between sweeps): no replica was charged, so put
+                    # between runs): no replica was charged, so put
                     # the chunk back and let a fresh worker take it.
                     ready.appendleft((chunk, not_before))
                     metrics.inc("supervisor.worker_crashes")
@@ -809,12 +807,10 @@ class WorkerPool:
             self._discard(worker)
 
     def terminate(self):
-        """Hard shutdown: kill every worker and leave the shared slot."""
+        """Hard shutdown: kill every worker."""
         self.closed = True
         for worker in list(self._workers.values()):
             self._discard(worker)
-        if _shared["pool"] is self:
-            _shared["pool"] = _shared["key"] = None
 
     def __enter__(self):
         return self
@@ -831,42 +827,9 @@ class WorkerPool:
                    getattr(self.spec, "name", None)))
 
 
-# -- process-wide shared pool --------------------------------------------------
-
-_shared = {"pool": None, "key": None}
-
-
-def _shared_key(spec, base_seed, workers):
-    return (json.dumps(spec.as_dict(), sort_keys=True, default=str),
-            repr(base_seed), int(workers))
-
-
-def shared_pool(spec, base_seed, workers):
-    """The process-wide warm pool for ``(spec, base_seed, workers)``.
-
-    Returns ``(pool, reused)``.  An open pool for the same key is
-    handed back as-is (``reused=True``) — dead workers in it are
-    replaced on its next run.  Any key change closes the old pool
-    first: one warm pool per process, never a leak-prone collection.
-    """
-    key = _shared_key(spec, base_seed, workers)
-    pool = _shared["pool"]
-    if pool is not None and _shared["key"] == key and not pool.closed:
-        return pool, True
-    shutdown_shared_pool()
-    pool = WorkerPool(spec, base_seed, workers)
-    _shared["pool"] = pool
-    _shared["key"] = key
-    return pool, False
-
+# -- retired -------------------------------------------------------------------
 
 def shutdown_shared_pool():
-    """Close the shared pool, if any (atexit hook, key changes, tests)."""
-    pool = _shared["pool"]
-    _shared["pool"] = None
-    _shared["key"] = None
-    if pool is not None:
-        pool.close()
-
-
-atexit.register(shutdown_shared_pool)
+    """A no-op, kept only because ``benchmarks/e2e/test_e2e_smoke.py``
+    imports it.  Each sweep forks its own pool and closes it, so there
+    is no process-wide pool to shut down."""

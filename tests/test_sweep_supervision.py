@@ -29,7 +29,6 @@ from repro.sim.workerpool import (
     ChaosPlan,
     SupervisorConfig,
     WorkerPool,
-    shutdown_shared_pool,
 )
 
 
@@ -50,10 +49,8 @@ def leaked_workers(timeout=3.0):
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
-    """Each test starts and ends with no shared pool (and no leaks)."""
-    shutdown_shared_pool()
+    """Each test ends with no ``sweep-worker-*`` child left."""
     yield
-    shutdown_shared_pool()
     assert leaked_workers() == []
 
 

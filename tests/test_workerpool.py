@@ -1,18 +1,16 @@
-"""Lifecycle regressions for the one sweep worker pool.
+"""Lifecycle regressions for the sweep worker pool.
 
-A warm pool trades per-sweep start-up for a long-lived resource, which
-creates exactly one new failure class: leaked worker processes.  These
-tests pin the lifecycle contract of :class:`repro.sim.workerpool.
-WorkerPool`:
+Worker processes are the one resource a sweep can leak.  Each sweep
+forks its own pool and closes it.  These tests pin the lifecycle
+contract of :class:`repro.sim.workerpool.WorkerPool`:
 
-* a run that returns leaves the pool warm, and the shared pool is
-  genuinely reused across sweeps;
+* a sweep that returns, under every pooled mode, leaves no worker
+  behind and gives the serial sweep's replicas;
 * anything escaping a run — a typed replica error under the default
   fail-fast policy, a manifest write raising, ``KeyboardInterrupt`` —
   terminates the pool, so no worker survives a failed sweep;
-* a worker that dies while idle is reaped and replaced without
-  charging any replica an attempt;
-* ``shutdown_shared_pool`` (the atexit hook) reaps the survivor;
+* a worker that dies while idle between two runs of one pool is
+  reaped and replaced without charging any replica an attempt;
 * workers forked from a sweep process die with it, even when it is
   SIGKILLed mid-sweep and never reaps them;
 * the ``spawn`` fallback gives the same replicas as a serial sweep.
@@ -32,16 +30,14 @@ import pytest
 
 from repro.core.ensemble import CampaignSpec, replica_seed, run_replica
 from repro.core.resume import SweepCheckpoint
-from repro.sim import workerpool
+from repro.sim import sweep, workerpool
 from repro.sim.errors import PoisonReplicaError
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.sim.workerpool import (
     FAIL_FAST,
     WorkerPool,
-    _shared,
     decode_replica_row,
     encode_replica_row,
-    shutdown_shared_pool,
 )
 
 SPEC = CampaignSpec.quick("stuxnet-epidemic")
@@ -68,11 +64,9 @@ def worker_count(timeout=3.0):
 
 
 @pytest.fixture(autouse=True)
-def reset_shared_pool():
-    """Each test starts and ends with no shared pool (and no leaks)."""
-    shutdown_shared_pool()
+def no_leaked_workers():
+    """Each test ends with no ``sweep-worker-*`` child left."""
     yield
-    shutdown_shared_pool()
     assert worker_count() == 0
 
 
@@ -83,42 +77,40 @@ def pool_config(**overrides):
     return SweepConfig(**defaults)
 
 
-# -- reuse ---------------------------------------------------------------------
+# -- one pool per sweep --------------------------------------------------------
 
-def test_shared_pool_is_reused_across_sweeps():
-    first = run_sweep(SPEC, pool_config())
-    second = run_sweep(SPEC, pool_config())
-    assert first.dispatch["pool_reused"] is False
-    assert second.dispatch["pool_reused"] is True
-    assert first.digests() == second.digests()
-    # The pool is alive between sweeps — that is the whole point.
-    assert worker_count(timeout=0.0) == 2
-
-
-def test_changing_the_key_swaps_the_pool_without_leaking():
-    run_sweep(SPEC, pool_config())
-    swapped = run_sweep(SPEC, pool_config(base_seed=43))
-    assert swapped.dispatch["pool_reused"] is False
-    # The stale pool was closed when the key changed: only the new
-    # pool's workers remain.
-    assert worker_count(timeout=0.0) == 2
+@pytest.mark.parametrize("mode", ["parallel", "auto", "supervised"])
+def test_a_sweep_leaves_no_worker_behind(mode, monkeypatch):
+    # A zero break-even sends the probed auto sweep to the pool.
+    monkeypatch.setattr(sweep, "PARALLEL_BREAK_EVEN_SECONDS", 0.0)
+    serial = run_sweep(SPEC, pool_config(mode="serial"))
+    pooled = run_sweep(SPEC, pool_config(mode=mode))
+    assert pooled.dispatch["path"] == "warm-pool"
+    assert pooled.supervision["workers"] == 2
+    # The sweep closed its pool before returning: nothing to wait for.
+    assert worker_count(timeout=0.0) == 0
+    assert [stable_dict(r) for r in pooled.replicas] == \
+        [stable_dict(r) for r in serial.replicas]
 
 
 def test_idle_worker_death_between_sweeps_is_respawned():
     serial = run_sweep(SPEC, pool_config(mode="serial"))
-    run_sweep(SPEC, pool_config())
-    victim = sweep_workers()[0]
-    victim.kill()
-    victim.join()
-    # The dead worker's task pipe now has no reader: dispatching to it
-    # must reap and replace it, not escape as a raw BrokenPipeError.
-    second = run_sweep(SPEC, pool_config())
-    assert second.dispatch["pool_reused"] is True
-    assert second.supervision["worker_restarts"] == 1
+    chunks = [[index] for index in range(4)]
+    with WorkerPool(SPEC, 42, workers=2) as pool:
+        pool.run(chunks, FAIL_FAST)
+        victim = sweep_workers()[0]
+        victim.kill()
+        victim.join()
+        # The dead worker's task pipe now has no reader: dispatching to
+        # it must reap and replace it, not escape as a raw
+        # BrokenPipeError.
+        second = pool.run(chunks, FAIL_FAST)
+        assert worker_count(timeout=0.0) == 2
+    assert second.report["worker_restarts"] == 1
     assert second.failures == []
-    assert second.digests() == serial.digests()
-    assert second.measurements() == serial.measurements()
-    assert worker_count(timeout=0.0) == 2
+    assert [r.trace_digest for r in second.replicas] == serial.digests()
+    assert [r.measurements for r in second.replicas] == \
+        serial.measurements()
 
 
 # -- failure lifecycle ---------------------------------------------------------
@@ -132,7 +124,6 @@ def test_worker_replica_error_raises_typed_error_and_terminates_pool():
     assert error.detail.startswith("TypeError: ")
     assert "TypeError: " in str(error)
     # Fail-fast: the error escaped the run, so the pool is gone.
-    assert _shared["pool"] is None
     assert worker_count() == 0
 
 
@@ -153,11 +144,9 @@ def test_record_callback_exception_terminates_pool(tmp_path, monkeypatch):
     monkeypatch.undo()
     # Chunks were in flight when the exception escaped: the pool must
     # be terminated, not left warm (its workers may be mid-replica).
-    assert _shared["pool"] is None
     assert worker_count() == 0
     # A fresh sweep after the failure builds a fresh pool and works.
     clean = run_sweep(SPEC, pool_config())
-    assert clean.dispatch["pool_reused"] is False
     assert len(clean.replicas) == 4
 
 
@@ -252,9 +241,18 @@ def test_workers_die_with_a_sigkilled_parent(tmp_path, mode):
 
 def test_spawn_fallback_matches_serial(monkeypatch):
     monkeypatch.setattr(workerpool, "pool_start_method", lambda: "spawn")
+    methods = []
+    real_context = workerpool.pool_context
+
+    def recording_context():
+        context = real_context()
+        methods.append(context.get_start_method())
+        return context
+
+    monkeypatch.setattr(workerpool, "pool_context", recording_context)
     serial = run_sweep(SPEC, pool_config(mode="serial"))
     spawned = run_sweep(SPEC, pool_config())
-    assert _shared["pool"]._context.get_start_method() == "spawn"
+    assert methods == ["spawn"]
     assert [stable_dict(r) for r in spawned.replicas] == \
         [stable_dict(r) for r in serial.replicas]
 
